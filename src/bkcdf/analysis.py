@@ -1,21 +1,26 @@
 """Exact finite-sample error analysis and leading-term MISE machinery.
 
-Pointwise bias and variance of the boundary-corrected estimator are
-computed from the exact integral representations
+Pointwise bias and variance of the estimator at x are computed from the
+exact integral representations
 
-    E Fhat(a + alpha*h)      = int F(a + (alpha - u)h) KL(u; alpha) du
-    n Var Fhat(a + alpha*h)  = int F(a + (alpha - u)h) BL(u; alpha) du
-                               - (E Fhat(a + alpha*h))^2
+    E Fhat(x)      = int F(x - u*h) k(u) du
+    n Var Fhat(x)  = int F(x - u*h) 2 Kbar(u) k(u) du - (E Fhat(x))^2
 
-with BL = 2 * KLbar * KL.  The interior analogue uses the base kernel
-with the CDF clamped to [0, 1], which keeps the same identities exact
-all the way to the support endpoints.  The right strip is handled by
-reflecting the distribution and reusing the left-strip formulas.
+where k is the kernel the estimator uses at x and Kbar its cumulative:
+the base kernel in the interior (with the CDF clamped to [0, 1], which
+keeps the identities exact all the way to the support endpoints) and the
+left boundary kernel KL(.; alpha) at x = a + alpha*h.  One routine,
+``_moments``, evaluates both integrals for every region.  The right strip
+reflects the distribution and reuses the left-strip kernel: integrating
+the right kernel directly leaves E Kbar^2 and (E Fhat)^2 both close to 1
+near b, and their difference then drowns in cancellation noise, while
+after reflection both stay small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -63,103 +68,61 @@ class MiseTerms:
         return self.v0 - h * self.v1 / n + self.b4 * h**4
 
 
-def _require_family(cfg: EstimatorConfig) -> BoundaryKernelFamily:
-    if cfg.family is None:
-        raise ValueError("a boundary kernel family is required")
-    return cfg.family
-
-
-def _check_support(dist, cfg: EstimatorConfig) -> None:
+def _check(dist, cfg: EstimatorConfig, n: int) -> None:
+    if n < 1:
+        raise ValueError("need n >= 1")
     if dist.support != (cfg.a, cfg.b):
         raise ValueError("distribution support does not match the estimator config")
 
 
-def _left_moments(dist, fam, a, h, alpha, spec):
-    """(E Fhat, E Kbar^2) at the left-strip point a + alpha*h."""
-    lo, hi = fam.support(alpha)
-    kinks = [p for p in (-alpha, alpha) if lo < p < hi]
-
-    def cdf_at(u):
-        return dist.cdf(a + (alpha - np.asarray(u, dtype=float)) * h)
-
-    e1 = integrate(
-        lambda u: cdf_at(u) * fam.left_density(u, alpha), lo, hi, spec, points=kinks
-    )
-    e2 = integrate(
-        lambda u: cdf_at(u)
-        * 2.0
-        * fam.left_antiderivative(u, alpha)
-        * fam.left_density(u, alpha),
-        lo,
-        hi,
-        spec,
-        points=kinks,
-    )
-    return e1, e2
-
-
-def _interior_moments(dist, base, h, x, spec):
-    """(E Fhat, E Kbar^2) for the classical estimator at x."""
-    a, b = dist.support
+def _moments(dist, x, h, density, cumulative, lo, hi, kinks, spec):
+    """(bias, n*variance) at x of the estimator whose kernel at x has this
+    density and cumulative on [lo, hi], with kinks at the given points."""
 
     def cdf_at(u):
         return dist.cdf(x - np.asarray(u, dtype=float) * h)
 
-    kinks = [p for p in ((x - b) / h, (x - a) / h) if -1.0 < p < 1.0]
-    e1 = integrate(
-        lambda u: cdf_at(u) * base.density(u), -1.0, 1.0, spec, points=kinks
-    )
+    e1 = integrate(lambda u: cdf_at(u) * density(u), lo, hi, spec, points=kinks)
     e2 = integrate(
-        lambda u: cdf_at(u) * 2.0 * base.antiderivative(u) * base.density(u),
-        -1.0,
-        1.0,
-        spec,
-        points=kinks,
+        lambda u: cdf_at(u) * 2.0 * cumulative(u) * density(u), lo, hi, spec, points=kinks
     )
-    return e1, e2
+    return e1 - dist.cdf(x), max(e2 - e1**2, 0.0)
+
+
+def _left_strip_moments(dist, fam, x, h, alpha, spec):
+    """_moments at the left-strip point x = a + alpha*h."""
+    lo, hi = fam.support(alpha)
+    kinks = [p for p in (-alpha, alpha) if lo < p < hi]
+    density = partial(fam.left_density, alpha=alpha)
+    cumulative = partial(fam.left_antiderivative, alpha=alpha)
+    return _moments(dist, x, h, density, cumulative, lo, hi, kinks, spec)
 
 
 def exact_bias(dist, cfg: EstimatorConfig, alpha: float, spec: QuadSpec | None = None) -> float:
     """Exact bias at the left-strip point a + alpha*h (n-free)."""
-    fam = _require_family(cfg)
-    _check_support(dist, cfg)
-    alpha = float(alpha)
-    e1, _ = _left_moments(dist, fam, cfg.a, cfg.h, alpha, spec)
-    return e1 - dist.cdf(cfg.a + alpha * cfg.h)
+    return exact_mse_curve(dist, cfg, 1, [alpha], spec)[0].bias
 
 
 def exact_variance(
     dist, cfg: EstimatorConfig, alpha: float, n: int, spec: QuadSpec | None = None
 ) -> float:
     """Exact variance at the left-strip point a + alpha*h for sample size n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    fam = _require_family(cfg)
-    _check_support(dist, cfg)
-    alpha = float(alpha)
-    e1, e2 = _left_moments(dist, fam, cfg.a, cfg.h, alpha, spec)
-    return max(e2 - e1**2, 0.0) / n
+    return exact_mse_curve(dist, cfg, n, [alpha], spec)[0].variance
 
 
 def exact_mse_curve(
     dist, cfg: EstimatorConfig, n: int, alphas, spec: QuadSpec | None = None
 ) -> list[PointwiseError]:
     """Exact pointwise errors across the left boundary strip."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    fam = _require_family(cfg)
-    _check_support(dist, cfg)
+    _check(dist, cfg, n)
+    fam = cfg.family
+    if fam is None:
+        raise ValueError("a boundary kernel family is required")
     out = []
-    for alpha in np.asarray(alphas, dtype=float):
-        e1, e2 = _left_moments(dist, fam, cfg.a, cfg.h, float(alpha), spec)
-        x = cfg.a + float(alpha) * cfg.h
-        out.append(
-            PointwiseError(
-                x=x,
-                bias=e1 - dist.cdf(x),
-                variance=max(e2 - e1**2, 0.0) / n,
-            )
-        )
+    for alpha in np.asarray(alphas, dtype=float).tolist():
+        x = cfg.a + alpha * cfg.h
+        bias, nvar = _left_strip_moments(dist, fam, x, cfg.h, alpha, spec)
+        out.append(PointwiseError(x=x, bias=bias, variance=nvar / n))
     return out
 
 
@@ -201,34 +164,29 @@ def mise_terms(dist, base: BaseKernel, n: int, spec: QuadSpec | None = None) -> 
 
 def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float, spec):
     """(bias, variance) of the configured estimator at x."""
-    a, b, h = cfg.a, cfg.b, cfg.h
-    if cfg.family is None:
-        e1, e2 = _interior_moments(dist, cfg.base, h, x, spec)
-        return e1 - dist.cdf(x), max(e2 - e1**2, 0.0) / n
-    if x <= a or x >= b:
+    a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
+    if fam is None or a + h <= x <= b - h:
+        kinks = [p for p in ((x - b) / h, (x - a) / h) if -1.0 < p < 1.0]
+        base = cfg.base
+        bias, nvar = _moments(dist, x, h, base.density, base.antiderivative, -1, 1, kinks, spec)
+    elif x <= a or x >= b:
         return 0.0, 0.0
-    if a + h <= x <= b - h:
-        e1, e2 = _interior_moments(dist, cfg.base, h, x, spec)
-        return e1 - dist.cdf(x), max(e2 - e1**2, 0.0) / n
-    if x < a + h:
-        e1, e2 = _left_moments(dist, cfg.family, a, h, (x - a) / h, spec)
-        return e1 - dist.cdf(x), max(e2 - e1**2, 0.0) / n
-    # right strip: the estimate equals 1 minus the left-strip estimate of
-    # the reflected distribution at the mirrored point
-    refl = Reflected(dist)
-    alpha = (b - x) / h
-    e1, e2 = _left_moments(refl, cfg.family, a, h, alpha, spec)
-    bias = -(e1 - refl.cdf(a + alpha * h))
-    return bias, max(e2 - e1**2, 0.0) / n
+    elif x < a + h:
+        bias, nvar = _left_strip_moments(dist, fam, x, h, (x - a) / h, spec)
+    else:
+        # right strip: the estimate equals 1 minus the left-strip estimate of
+        # the reflected distribution at the mirrored point
+        alpha = (b - x) / h
+        bias, nvar = _left_strip_moments(Reflected(dist), fam, a + alpha * h, h, alpha, spec)
+        bias = -bias
+    return bias, nvar / n
 
 
 def pointwise_error(
     dist, cfg: EstimatorConfig, n: int, x: float, spec: QuadSpec | None = None
 ) -> PointwiseError:
     """Exact pointwise error at any x, dispatching on the strip."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_support(dist, cfg)
+    _check(dist, cfg, n)
     bias, var = _pointwise(dist, cfg, n, float(x), spec)
     return PointwiseError(x=float(x), bias=bias, variance=var)
 
@@ -236,15 +194,20 @@ def pointwise_error(
 _OUTER_SPEC = QuadSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2**15)
 
 
-def _region_panels(cfg: EstimatorConfig, lo: float, hi: float):
-    return [p for p in (cfg.a + cfg.h, cfg.b - cfg.h) if lo < p < hi]
-
-
-def _check_region(cfg: EstimatorConfig, region) -> tuple[float, float]:
+def _integrated(dist, cfg: EstimatorConfig, n: int, region, spec, inner_spec, squared_bias):
+    """Integral over a region of the pointwise variance, plus the squared
+    bias when squared_bias is set."""
+    _check(dist, cfg, n)
     lo, hi = float(region[0]), float(region[1])
     if not (cfg.a <= lo <= hi <= cfg.b):
         raise ValueError("region must be contained in [a, b]")
-    return lo, hi
+
+    def integrand(x):
+        bias, var = _pointwise(dist, cfg, n, float(x), inner_spec)
+        return var + bias**2 if squared_bias else var
+
+    panels = [p for p in (cfg.a + cfg.h, cfg.b - cfg.h) if lo < p < hi]
+    return integrate(integrand, lo, hi, spec or _OUTER_SPEC, points=panels)
 
 
 def exact_mise(
@@ -256,16 +219,7 @@ def exact_mise(
     inner_spec: QuadSpec | None = None,
 ) -> float:
     """Exact MISE over a region, by integrating the pointwise MSE."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_support(dist, cfg)
-    lo, hi = _check_region(cfg, region)
-
-    def mse(x):
-        bias, var = _pointwise(dist, cfg, n, float(x), inner_spec)
-        return var + bias**2
-
-    return integrate(mse, lo, hi, spec or _OUTER_SPEC, points=_region_panels(cfg, lo, hi))
+    return _integrated(dist, cfg, n, region, spec, inner_spec, squared_bias=True)
 
 
 def exact_integrated_variance(
@@ -277,12 +231,4 @@ def exact_integrated_variance(
     inner_spec: QuadSpec | None = None,
 ) -> float:
     """Exact integrated variance over a region."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    _check_support(dist, cfg)
-    lo, hi = _check_region(cfg, region)
-
-    def var(x):
-        return _pointwise(dist, cfg, n, float(x), inner_spec)[1]
-
-    return integrate(var, lo, hi, spec or _OUTER_SPEC, points=_region_panels(cfg, lo, hi))
+    return _integrated(dist, cfg, n, region, spec, inner_spec, squared_bias=False)

@@ -1,13 +1,15 @@
 """Kernel distribution function estimators.
 
-``classical_cdf`` is the plain smoothed empirical CDF; ``boundary_cdf``
-applies the boundary-kernel correction inside the strips (a, a+h) and
-(b-h, b), pins the estimate to 0 and 1 outside [a, b], and agrees
-exactly with the classical estimator on [a+h, b-h].
+``evaluate_grid`` is the one evaluator; ``boundary_cdf`` is its one-point
+form.  With a boundary family it applies the boundary-kernel correction
+inside the strips (a, a+h) and (b-h, b), pins the estimate to 0 and 1
+outside [a, b], and agrees exactly with the classical estimator
+(``classical_cdf``) on [a+h, b-h].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,8 +30,8 @@ class EstimatorConfig:
     family: Optional[BoundaryKernelFamily] = None
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("need a < b")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError("need finite a < b")
         if not 0.0 < self.h <= 0.5 * (self.b - self.a):
             raise ValueError("bandwidth must satisfy 0 < h <= (b - a)/2")
 
@@ -38,6 +40,8 @@ def _as_sample(values) -> np.ndarray:
     data = np.asarray(values, dtype=float)
     if data.ndim != 1 or data.size == 0:
         raise ValueError("sample must be a non-empty one-dimensional collection")
+    if not np.isfinite(data).all():
+        raise ValueError("sample values must be finite")
     return data
 
 
@@ -52,11 +56,20 @@ def classical_cdf(values, base: BaseKernel, h: float, x):
     return out if out.ndim else float(out)
 
 
-def _evaluate(data: np.ndarray, cfg: EstimatorConfig, xs: np.ndarray) -> np.ndarray:
-    a, b, h = cfg.a, cfg.b, cfg.h
+def evaluate_grid(values, cfg: EstimatorConfig, grid) -> np.ndarray:
+    """The configured estimate on a sorted grid of finite points."""
+    data = _as_sample(values)
+    xs = np.asarray(grid, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("grid must be one-dimensional")
+    if not np.isfinite(xs).all():
+        raise ValueError("grid points must be finite")
+    if xs.size > 1 and np.any(np.diff(xs) < 0.0):
+        raise ValueError("grid must be sorted")
+    a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
     if data.min() < a or data.max() > b:
         raise ValueError("sample values must lie within [a, b]")
-    if cfg.family is None:
+    if fam is None:
         return np.asarray(classical_cdf(data, cfg.base, h, xs))
 
     out = np.empty(xs.shape)
@@ -68,37 +81,21 @@ def _evaluate(data: np.ndarray, cfg: EstimatorConfig, xs: np.ndarray) -> np.ndar
         out[mid] = classical_cdf(data, cfg.base, h, xs[mid])
 
     left = (xs > a) & (xs < a + h)
-    if left.any():
-        xl = xs[left]
-        alpha = (xl - a) / h
-        u = (xl[:, None] - data) / h
-        out[left] = cfg.family.left_antiderivative(u, alpha[:, None]).mean(axis=1)
-
     right = (xs > b - h) & (xs < b)
-    if right.any():
-        xr = xs[right]
-        alpha = (b - xr) / h
-        u = (xr[:, None] - data) / h
-        out[right] = cfg.family.right_antiderivative(u, alpha[:, None]).mean(axis=1)
+    for strip, alpha, cumulative in (
+        (left, (xs[left] - a) / h, fam.left_antiderivative),
+        (right, (b - xs[right]) / h, fam.right_antiderivative),
+    ):
+        if strip.any():
+            u = (xs[strip, None] - data) / h
+            out[strip] = cumulative(u, alpha[:, None]).mean(axis=1)
 
     return out
 
 
 def boundary_cdf(values, cfg: EstimatorConfig, x: float) -> float:
     """Boundary-corrected kernel CDF estimate at a single point."""
-    data = _as_sample(values)
-    return float(_evaluate(data, cfg, np.asarray([float(x)]))[0])
-
-
-def evaluate_grid(values, cfg: EstimatorConfig, grid) -> np.ndarray:
-    """Boundary-corrected estimate on a sorted grid of points."""
-    data = _as_sample(values)
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("grid must be one-dimensional")
-    if xs.size > 1 and np.any(np.diff(xs) < 0.0):
-        raise ValueError("grid must be sorted")
-    return _evaluate(data, cfg, xs)
+    return float(evaluate_grid(values, cfg, [float(x)])[0])
 
 
 def is_proper(values, tol: float) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import mise_terms
 from .boundary import BoundaryKernelFamily
 from .distributions import replicate_rng
-from .estimator import EstimatorConfig, _as_sample, _evaluate
+from .estimator import EstimatorConfig, evaluate_grid
 from .kernels import BaseKernel
 
 PANELS_PER_UNIT = 4096
@@ -105,13 +105,13 @@ def run_ise(cfg: SimConfig) -> SimResult:
     ise = np.zeros((cfg.reps, len(cfg.families), len(regions)))
     for r in range(cfg.reps):
         rng = replicate_rng(cfg.seed, r)
-        sample = _as_sample(cfg.dist.sample(rng, cfg.n))
+        sample = cfg.dist.sample(rng, cfg.n)
         for j, est in enumerate(estimators):
             for k, grid in enumerate(grids):
                 if grid is None:
                     continue
                 x, w = grid
-                fhat = _evaluate(sample, est, x)
+                fhat = evaluate_grid(sample, est, x)
                 ise[r, j, k] = float(w @ (fhat - refs[k]) ** 2)
 
     return SimResult(

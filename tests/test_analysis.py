@@ -186,3 +186,15 @@ def test_n_validation():
         exact_variance(dist, cfg, 0.5, 0)
     with pytest.raises(ValueError):
         exact_mise(dist, cfg, 0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5])
+def test_strip_functions_reject_alpha_outside_unit_interval(alpha):
+    dist = BetaMixture(0.5, 4.0)
+    cfg = make_cfg("k2", h=0.2)
+    with pytest.raises(ValueError):
+        exact_bias(dist, cfg, alpha)
+    with pytest.raises(ValueError):
+        exact_variance(dist, cfg, alpha, 50)
+    with pytest.raises(ValueError):
+        exact_mse_curve(dist, cfg, 50, [0.5, alpha])

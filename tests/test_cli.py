@@ -94,6 +94,37 @@ def test_estimate_missing_file(tmp_path):
     assert err.value.code == 2
 
 
+def test_estimate_rejects_nan_data(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("0.2\nnan\n0.9\n")
+    rc = main(["estimate", "--data", str(data), "--a", "0", "--b", "1", "--h", "0.2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "a, b, h, reason",
+    [
+        ("-inf", "1", "0.2", "finite"),
+        ("0", "inf", "0.2", "finite"),
+        ("0", "1", "nan", "bandwidth"),
+    ],
+)
+def test_estimate_rejects_non_finite_config(tmp_path, capsys, a, b, h, reason):
+    data = tmp_path / "data.txt"
+    data.write_text("0.2\n0.5\n")
+    # the --flag=value form lets argparse take "-inf" as a value
+    argv = ["estimate", "--data", str(data), f"--a={a}", f"--b={b}", f"--h={h}"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--family", "k1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err
+
+
 def test_coeffs(tmp_path):
     out = tmp_path / "c.csv"
     assert main(["coeffs", "--families", "k1,k2", "--points", "5", "--out", str(out)]) == 0

@@ -29,6 +29,15 @@ def test_config_validation():
         EstimatorConfig(0.0, 1.0, 0.0, EPAN)
 
 
+@pytest.mark.parametrize(
+    "a, b, h",
+    [(-np.inf, 1.0, 0.1), (0.0, np.inf, 0.1), (0.0, 1.0, np.inf), (0.0, 1.0, np.nan)],
+)
+def test_config_rejects_non_finite(a, b, h):
+    with pytest.raises(ValueError):
+        EstimatorConfig(a, b, h, EPAN)
+
+
 def test_classical_values():
     assert classical_cdf([0.5], EPAN, 0.2, 0.5) == pytest.approx(0.5, abs=1e-15)
     assert classical_cdf([0.1, 0.4], EPAN, 0.1, 0.9) == 1.0
@@ -76,6 +85,30 @@ def test_sample_outside_support_rejected():
     cfg = make_cfg("k1")
     with pytest.raises(ValueError):
         boundary_cdf([0.5, 1.2], cfg, 0.5)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda data: evaluate_grid(data, make_cfg("k1"), [0.1, 0.5]),
+        lambda data: boundary_cdf(data, make_cfg("k1"), 0.5),
+        lambda data: classical_cdf(data, EPAN, 0.2, 0.5),
+    ],
+    ids=["evaluate_grid", "boundary_cdf", "classical_cdf"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_rejected(evaluate, bad):
+    with pytest.raises(ValueError):
+        evaluate([0.3, bad])
+
+
+def test_non_finite_grid_point_rejected():
+    # a NaN point falls in no region, so it must not reach the evaluation
+    cfg = make_cfg("k3")
+    with pytest.raises(ValueError):
+        evaluate_grid([0.3], cfg, [0.1, np.nan])
+    with pytest.raises(ValueError):
+        boundary_cdf([0.3], cfg, np.nan)
 
 
 def test_evaluate_grid_basics():
