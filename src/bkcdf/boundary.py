@@ -1,11 +1,27 @@
 """Left and right boundary kernel families over a base kernel.
 
-Three families are supported, selected by name:
+The three families k1, k2 and k3 are members of one enlarged class of
+boundary kernels: the left kernel at the cut point alpha in (0, 1) is the
+base kernel K, rescaled, truncated to [lo, hi] and weighted,
 
-* ``k1`` -- base kernel truncated to [-alpha, alpha] and renormalised;
-* ``k2`` -- base kernel rescaled onto [-alpha, alpha];
-* ``k3`` -- base kernel truncated to [-1, alpha] and tilted so that the
-  weaker moment condition alpha*(1 - mu0) + mu1 = 0 holds.
+    KL(u; alpha) = weight/norm * K(u/scale)/scale   on [lo, hi],
+
+with these parameters (``BoundaryKernelFamily._shape``):
+
+    family  scale  lo      hi     weight  norm
+    k1      1      -alpha  alpha  1       2*Kbar(alpha) - 1
+    k2      alpha  -alpha  alpha  1       1
+    k3      1      -1      alpha  alpha   alpha*P0(alpha) - P1(alpha)
+
+where Kbar is the base cumulative and Pk(t) the integral of u^k K(u) from
+-1 to t.  k1 is the truncated and renormalised base kernel, k2 the base
+kernel rescaled onto [-alpha, alpha], and k3 the truncated base kernel
+tilted so that the weaker moment condition alpha*(1 - mu0) + mu1 = 0
+holds.  The cumulative and the moments follow in closed form:
+
+    int_lo^u KL = weight*(Kbar(clip(u/scale, lo/scale, hi/scale))
+                          - Kbar(lo/scale)) / norm
+    int u^k KL  = weight*scale^k*(Pk(hi/scale) - Pk(lo/scale)) / norm
 
 Right versions are obtained by reflection: the right density at u is the
 left density at -u, and the right cumulative is 1 minus the left
@@ -52,56 +68,38 @@ class BoundaryKernelFamily:
     def __repr__(self) -> str:
         return f"BoundaryKernelFamily({self.variant!r}, {self.base!r})"
 
-    @staticmethod
-    def _check_alpha(alpha) -> None:
+    def _shape(self, alpha):
+        """(scale, lo, hi, weight, norm) of the left kernel at alpha."""
         a = np.asarray(alpha, dtype=float)
-        if np.any(a <= 0.0) or np.any(a >= 1.0):
+        if not np.all((a > 0.0) & (a < 1.0)):
             raise ValueError("alpha must lie strictly inside (0, 1)")
+        if self.variant == "k1":
+            return 1.0, -a, a, 1.0, 2.0 * self.base.antiderivative(a) - 1.0
+        if self.variant == "k2":
+            return a, -a, a, 1.0, 1.0
+        norm = a * self.base.partial_moment(0, a) - self.base.partial_moment(1, a)
+        if np.any(np.asarray(norm) <= 0.0):
+            raise DegenerateKernelError("k3 normaliser must be positive")
+        return 1.0, -1.0, a, a, norm
 
     def support(self, alpha: float) -> tuple[float, float]:
         """Support interval of the left kernel at this cut point."""
-        self._check_alpha(alpha)
-        if self.variant == "k3":
-            return (-1.0, float(alpha))
-        return (-float(alpha), float(alpha))
-
-    def _norm_k1(self, alpha):
-        return 2.0 * self.base.antiderivative(alpha) - 1.0
-
-    def _norm_k3(self, alpha):
-        d = alpha * self.base.partial_moment(0, alpha) - self.base.partial_moment(1, alpha)
-        if np.any(np.asarray(d) <= 0.0):
-            raise DegenerateKernelError("k3 normaliser must be positive")
-        return d
+        _, lo, hi, _, _ = self._shape(alpha)
+        return (float(lo), float(hi))
 
     def left_density(self, u, alpha):
-        self._check_alpha(alpha)
-        u = np.asarray(u, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
-        if self.variant == "k1":
-            out = (
-                self.base.density(u)
-                * ((u >= -alpha) & (u <= alpha))
-                / self._norm_k1(alpha)
-            )
-        elif self.variant == "k2":
-            out = self.base.density(u / alpha) / alpha
-        else:
-            out = alpha * self.base.density(u) * (u <= alpha) / self._norm_k3(alpha)
+        s, lo, hi, w, norm = self._shape(alpha)
+        t = np.asarray(u, dtype=float) / s
+        out = w * self.base.density(t) * ((t >= lo / s) & (t <= hi / s)) / (s * norm)
         return out if np.ndim(out) else float(out)
 
     def left_antiderivative(self, u, alpha):
         """Cumulative left kernel; constant at mu0(alpha) above the support."""
-        self._check_alpha(alpha)
-        u = np.asarray(u, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
+        s, lo, hi, w, norm = self._shape(alpha)
         kbar = self.base.antiderivative
-        if self.variant == "k1":
-            out = (kbar(np.clip(u, -alpha, alpha)) - (1.0 - kbar(alpha))) / self._norm_k1(alpha)
-        elif self.variant == "k2":
-            out = kbar(u / alpha)
-        else:
-            out = alpha * kbar(np.minimum(u, alpha)) / self._norm_k3(alpha)
+        # kbar(lo/s) written as 1 - kbar(-lo/s): exactly 0 when lo/s = -1
+        t = np.clip(np.asarray(u, dtype=float) / s, lo / s, hi / s)
+        out = w * (kbar(t) - (1.0 - kbar(-lo / s))) / norm
         return out if np.ndim(out) else float(out)
 
     def right_density(self, u, alpha):
@@ -116,16 +114,9 @@ class BoundaryKernelFamily:
         """Closed-form moment of u^order against the left kernel."""
         if order not in (0, 1, 2):
             raise ValueError("moments are implemented for orders 0, 1, 2")
-        self._check_alpha(alpha)
-        a = np.asarray(alpha, dtype=float)
+        s, lo, hi, w, norm = self._shape(alpha)
         pm = self.base.partial_moment
-        if self.variant == "k1":
-            out = (pm(order, a) - pm(order, -a)) / self._norm_k1(a)
-        elif self.variant == "k2":
-            full = (1.0, 0.0, self.base.second_moment())[order]
-            out = a**order * full
-        else:
-            out = a * pm(order, a) / self._norm_k3(a)
+        out = w * s**order * (pm(order, hi / s) - pm(order, lo / s)) / norm
         return out if np.ndim(out) else float(out)
 
     def mu_bias_coeff(self, alpha):

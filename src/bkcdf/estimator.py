@@ -47,10 +47,12 @@ def _as_sample(values) -> np.ndarray:
 
 def classical_cdf(values, base: BaseKernel, h: float, x):
     """Plain kernel CDF estimate at x (scalar or array)."""
-    if h <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
     data = _as_sample(values)
     xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("evaluation points must be finite")
     u = (xs[..., None] - data) / h
     out = np.asarray(base.antiderivative(u)).mean(axis=-1)
     return out if out.ndim else float(out)

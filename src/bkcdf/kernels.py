@@ -1,14 +1,14 @@
 """Symmetric polynomial smoothing kernels on [-1, 1].
 
-All closed forms (antiderivative, partial moments, smoothing constants)
-are derived once from the polynomial coefficients of each density.
-Quadrature only appears in the tests, as an independent oracle.
+Each kernel is a set of plain ascending coefficient arrays, evaluated with
+``polyval``: the density, and the antiderivatives and partial moments
+derived once from it.  Quadrature only appears in the tests, as an oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "biweight", "triweight")
 
@@ -28,14 +28,12 @@ class BaseKernel:
         if name not in _DENSITY_COEFFS:
             raise ValueError(f"unknown kernel {name!r}; choose from {KERNEL_NAMES}")
         self.name = name
-        self._poly = Polynomial(_DENSITY_COEFFS[name])
-        anti = self._poly.integ()
-        self._anti = anti - anti(-1.0)
+        self._coeffs = np.array(_DENSITY_COEFFS[name])
+        self._anti = P.polyint(self._coeffs, lbnd=-1.0)
         # antiderivatives of u^k K(u) for the partial moments, k = 0, 1, 2
-        self._moment_anti = []
-        for k in range(3):
-            p = (Polynomial([0.0] * k + [1.0]) * self._poly).integ()
-            self._moment_anti.append(p - p(-1.0))
+        self._moment_anti = [
+            P.polyint(np.pad(self._coeffs, (k, 0)), lbnd=-1.0) for k in range(3)
+        ]
 
     def __repr__(self) -> str:
         return f"BaseKernel({self.name!r})"
@@ -50,13 +48,13 @@ class BaseKernel:
         """K(t), zero outside [-1, 1]."""
         t = np.asarray(t, dtype=float)
         inside = (t >= -1.0) & (t <= 1.0)
-        out = np.where(inside, self._poly(np.clip(t, -1.0, 1.0)), 0.0)
+        out = np.where(inside, P.polyval(np.clip(t, -1.0, 1.0), self._coeffs), 0.0)
         return out if out.ndim else float(out)
 
     def antiderivative(self, u):
         """Cumulative kernel: 0 below -1, 1 above +1."""
         u = np.asarray(u, dtype=float)
-        out = self._anti(np.clip(u, -1.0, 1.0))
+        out = P.polyval(np.clip(u, -1.0, 1.0), self._anti)
         return out if out.ndim else float(out)
 
     def partial_moment(self, order: int, alpha):
@@ -66,17 +64,17 @@ class BaseKernel:
         alpha = np.asarray(alpha, dtype=float)
         if np.any(alpha < -1.0) or np.any(alpha > 1.0):
             raise ValueError("alpha must lie in [-1, 1]")
-        out = self._moment_anti[order](alpha)
+        out = P.polyval(alpha, self._moment_anti[order])
         return out if out.ndim else float(out)
 
     def second_moment(self) -> float:
         """Integral of u^2 K(u) over the whole support."""
-        return float(self._moment_anti[2](1.0))
+        return float(P.polyval(1.0, self._moment_anti[2]))
 
     def r_constant(self) -> float:
         """Integral of u * 2 * Kbar(u) * K(u); equals 1 - integral of Kbar^2."""
-        sq = (self._anti**2).integ()
-        return 1.0 - float(sq(1.0) - sq(-1.0))
+        sq = P.polyint(P.polymul(self._anti, self._anti))
+        return 1.0 - float(P.polyval(1.0, sq) - P.polyval(-1.0, sq))
 
     def delta(self) -> float:
         """Bandwidth constant r^(1/3) * (second moment)^(-2/3)."""

@@ -61,7 +61,9 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
         y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:
             return y
-    except Exception:
+    except (TypeError, ValueError):
+        # how a scalar-only integrand fails on an array (float(x), if x < c);
+        # any other error is real and propagates
         pass
     return np.array([float(f(xi)) for xi in x], dtype=float)
 

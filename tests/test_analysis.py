@@ -123,6 +123,14 @@ def test_pointwise_dispatch_consistency():
     assert pointwise_error(dist, cfg, 50, 1.0) == PointwiseError(1.0, 0.0, 0.0)
 
 
+def test_pointwise_error_rejects_nan_point():
+    # a NaN point must fail validation, not run the quadrature to its budget
+    dist = BetaMixture(0.5, 4.0)
+    for variant in FAMILY_NAMES:
+        with pytest.raises(ValueError):
+            pointwise_error(dist, make_cfg(variant), 50, np.nan)
+
+
 def test_strip_boundary_continuity():
     # the strip formulas and the interior formulas agree at x = a + h
     dist = BetaMixture(0.5, 4.0)
@@ -188,7 +196,7 @@ def test_n_validation():
         exact_mise(dist, cfg, 0, (0.0, 1.0))
 
 
-@pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5])
+@pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, np.nan])
 def test_strip_functions_reject_alpha_outside_unit_interval(alpha):
     dist = BetaMixture(0.5, 4.0)
     cfg = make_cfg("k2", h=0.2)

@@ -19,7 +19,7 @@ def test_unknown_variant():
 
 
 def test_alpha_domain():
-    for bad in (0.0, 1.0, -0.2, 1.7):
+    for bad in (0.0, 1.0, -0.2, 1.7, np.nan):
         with pytest.raises(ValueError):
             fam("k1").left_density(0.0, bad)
 
@@ -73,16 +73,31 @@ def test_moment_unsupported_order():
 @pytest.mark.parametrize("variant", FAMILY_NAMES)
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_moment_against_quadrature(variant, order):
-    f = fam(variant)
-    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+    for base_name in KERNEL_NAMES:
+        f = fam(variant, BaseKernel(base_name))
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+            lo, hi = f.support(alpha)
+            oracle = integrate(
+                lambda u: u**order * f.left_density(u, alpha),
+                lo,
+                hi,
+                points=[p for p in (-alpha, alpha) if lo < p < hi],
+            )
+            assert f.moment(order, alpha) == pytest.approx(oracle, abs=1e-10), base_name
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+@pytest.mark.parametrize("base_name", KERNEL_NAMES)
+def test_left_antiderivative_against_quadrature(base_name, variant):
+    f = fam(variant, BaseKernel(base_name))
+    for alpha in (0.1, 0.5, 0.9):
         lo, hi = f.support(alpha)
-        oracle = integrate(
-            lambda u: u**order * f.left_density(u, alpha),
-            lo,
-            hi,
-            points=[p for p in (-alpha, alpha) if lo < p < hi],
-        )
-        assert f.moment(order, alpha) == pytest.approx(oracle, abs=1e-10)
+        kinks = [p for p in (-alpha, alpha) if lo < p < hi]
+        for u in np.linspace(lo, hi, 7):
+            oracle = integrate(lambda t: f.left_density(t, alpha), lo, u, points=kinks)
+            assert f.left_antiderivative(u, alpha) == pytest.approx(oracle, abs=1e-10)
+        for u in (hi, hi + 0.3, 5.0):
+            assert f.left_antiderivative(u, alpha) == pytest.approx(f.moment(0, alpha), abs=1e-14)
 
 
 def test_mu_bias_coeff():

@@ -1,10 +1,11 @@
 """Every subcommand's CSV output, pinned against committed golden files.
 
 The files in ``tests/golden`` were written by these same command lines
-before the estimator and exact-analysis code paths were merged, so a
-refactor that changes any output shows up here.  Headers and key columns
-(inputs and labels) must match exactly; every other column must agree to
-|got - ref| <= 1e-12*|ref| + 1e-15.
+before the estimator and exact-analysis code paths were merged (the
+uniform and triweight cases before the boundary families were
+parametrised), so a refactor that changes any output shows up here.
+Headers and key columns (inputs and labels) must match exactly; every
+other column must agree to |got - ref| <= 1e-12*|ref| + 1e-15.
 """
 
 from pathlib import Path
@@ -30,6 +31,15 @@ CASES = {
         ]
         for fam in ("classical", "k1", "k2", "k3")
     },
+    **{
+        f"estimate_{kernel}_{fam}": [
+            "estimate", "--data", DATA, "--a", "0", "--b", "1", "--h", "0.2",
+            "--family", fam, "--grid", "41", "--kernel", kernel,
+        ]
+        for kernel in ("uniform", "triweight")
+        for fam in ("k1", "k2", "k3")
+    },
+    "coeffs_triweight": ["coeffs", "--points", "9", "--kernel", "triweight"],
     "simulate": [
         "simulate", *DIST, "--n", "20", "--reps", "3", "--seed", "1",
         "--summary-out", "{tmp}/simulate_summary.csv",

@@ -49,6 +49,12 @@ def test_classical_errors():
         classical_cdf([], EPAN, 0.1, 0.5)
     with pytest.raises(ValueError):
         classical_cdf([0.5], EPAN, 0.0, 0.5)
+    for h in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            classical_cdf([0.5], EPAN, h, 0.5)
+    for x in (np.nan, np.inf, [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            classical_cdf([0.5], EPAN, 0.2, x)
 
 
 def test_boundary_endpoint_values():

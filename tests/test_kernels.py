@@ -34,6 +34,13 @@ def test_antiderivative_values():
 
 
 @pytest.mark.parametrize("kernel", ALL, ids=KERNEL_NAMES)
+def test_antiderivative_exact_at_support_ends(kernel):
+    # the boundary families' cumulative offset relies on these being exact
+    assert kernel.antiderivative(-1.0) == 0.0
+    assert kernel.antiderivative(1.0) == 1.0
+
+
+@pytest.mark.parametrize("kernel", ALL, ids=KERNEL_NAMES)
 def test_antiderivative_matches_density(kernel):
     # centered finite difference of the cumulative kernel
     u = np.linspace(-0.99, 0.99, 101)

@@ -42,6 +42,18 @@ def test_scalar_only_integrand():
     assert integrate(f, 0.0, 1.0, points=[0.5]) == pytest.approx(1.5, abs=1e-10)
 
 
+def test_vector_integrand_error_propagates():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        raise RuntimeError("broken integrand")
+
+    with pytest.raises(RuntimeError, match="broken integrand"):
+        integrate(f, 0.0, 1.0)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("a,b", [(2.0, 3.0), (-1.0, 0.5), (0.0, 7.0)])
 def test_linearity(a, b):
     f = lambda u: u**3 - u
