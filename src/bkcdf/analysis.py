@@ -185,8 +185,10 @@ def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float, spec):
 def pointwise_error(
     dist, cfg: EstimatorConfig, n: int, x: float, spec: QuadSpec | None = None
 ) -> PointwiseError:
-    """Exact pointwise error at any x, dispatching on the strip."""
+    """Exact pointwise error at any finite x, dispatching on the strip."""
     _check(dist, cfg, n)
+    if not np.isfinite(x):  # a NaN would fail every region test below
+        raise ValueError(f"x must be finite, got {float(x)!r}")
     bias, var = _pointwise(dist, cfg, n, float(x), spec)
     return PointwiseError(x=float(x), bias=bias, variance=var)
 

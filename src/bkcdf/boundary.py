@@ -6,22 +6,26 @@ base kernel K, rescaled, truncated to [lo, hi] and weighted,
 
     KL(u; alpha) = weight/norm * K(u/scale)/scale   on [lo, hi],
 
-with these parameters (``BoundaryKernelFamily._shape``):
+with these parameters (``BoundaryKernelFamily.shape``):
 
     family  scale  lo      hi     weight  norm
-    k1      1      -alpha  alpha  1       2*Kbar(alpha) - 1
+    k1      1      -alpha  alpha  1       2*G(alpha)
     k2      alpha  -alpha  alpha  1       1
     k3      1      -1      alpha  alpha   alpha*P0(alpha) - P1(alpha)
 
-where Kbar is the base cumulative and Pk(t) the integral of u^k K(u) from
--1 to t.  k1 is the truncated and renormalised base kernel, k2 the base
-kernel rescaled onto [-alpha, alpha], and k3 the truncated base kernel
-tilted so that the weaker moment condition alpha*(1 - mu0) + mu1 = 0
-holds.  The cumulative and the moments follow in closed form:
+where Kbar is the base cumulative, G = Kbar - 1/2 its odd part and Pk(t)
+the integral of u^k K(u) from -1 to t.  k1 is the truncated and
+renormalised base kernel, k2 the base kernel rescaled onto
+[-alpha, alpha], and k3 the truncated base kernel tilted so that the
+weaker moment condition alpha*(1 - mu0) + mu1 = 0 holds.  The cumulative
+and the moments follow in closed form:
 
-    int_lo^u KL = weight*(Kbar(clip(u/scale, lo/scale, hi/scale))
-                          - Kbar(lo/scale)) / norm
+    int_lo^u KL = weight*(G(clip(u/scale, lo/scale, hi/scale))
+                          + G(-lo/scale)) / norm
     int u^k KL  = weight*scale^k*(Pk(hi/scale) - Pk(lo/scale)) / norm
+
+Through G nothing cancels as alpha -> 0: 2*Kbar(alpha) - 1 rounds to 0
+for alpha below about 1e-16, where 2*G(alpha) keeps full relative accuracy.
 
 Right versions are obtained by reflection: the right density at u is the
 left density at -u, and the right cumulative is 1 minus the left
@@ -68,13 +72,13 @@ class BoundaryKernelFamily:
     def __repr__(self) -> str:
         return f"BoundaryKernelFamily({self.variant!r}, {self.base!r})"
 
-    def _shape(self, alpha):
+    def shape(self, alpha):
         """(scale, lo, hi, weight, norm) of the left kernel at alpha."""
         a = np.asarray(alpha, dtype=float)
         if not np.all((a > 0.0) & (a < 1.0)):
             raise ValueError("alpha must lie strictly inside (0, 1)")
         if self.variant == "k1":
-            return 1.0, -a, a, 1.0, 2.0 * self.base.antiderivative(a) - 1.0
+            return 1.0, -a, a, 1.0, 2.0 * self.base.odd_part(a)
         if self.variant == "k2":
             return a, -a, a, 1.0, 1.0
         norm = a * self.base.partial_moment(0, a) - self.base.partial_moment(1, a)
@@ -84,22 +88,20 @@ class BoundaryKernelFamily:
 
     def support(self, alpha: float) -> tuple[float, float]:
         """Support interval of the left kernel at this cut point."""
-        _, lo, hi, _, _ = self._shape(alpha)
+        _, lo, hi, _, _ = self.shape(alpha)
         return (float(lo), float(hi))
 
     def left_density(self, u, alpha):
-        s, lo, hi, w, norm = self._shape(alpha)
+        s, lo, hi, w, norm = self.shape(alpha)
         t = np.asarray(u, dtype=float) / s
         out = w * self.base.density(t) * ((t >= lo / s) & (t <= hi / s)) / (s * norm)
         return out if np.ndim(out) else float(out)
 
     def left_antiderivative(self, u, alpha):
         """Cumulative left kernel; constant at mu0(alpha) above the support."""
-        s, lo, hi, w, norm = self._shape(alpha)
-        kbar = self.base.antiderivative
-        # kbar(lo/s) written as 1 - kbar(-lo/s): exactly 0 when lo/s = -1
+        s, lo, hi, w, norm = self.shape(alpha)
         t = np.clip(np.asarray(u, dtype=float) / s, lo / s, hi / s)
-        out = w * (kbar(t) - (1.0 - kbar(-lo / s))) / norm
+        out = w * (self.base.odd_part(t) + self.base.odd_part(-lo / s)) / norm
         return out if np.ndim(out) else float(out)
 
     def right_density(self, u, alpha):
@@ -114,7 +116,7 @@ class BoundaryKernelFamily:
         """Closed-form moment of u^order against the left kernel."""
         if order not in (0, 1, 2):
             raise ValueError("moments are implemented for orders 0, 1, 2")
-        s, lo, hi, w, norm = self._shape(alpha)
+        s, lo, hi, w, norm = self.shape(alpha)
         pm = self.base.partial_moment
         out = w * s**order * (pm(order, hi / s) - pm(order, lo / s)) / norm
         return out if np.ndim(out) else float(out)

@@ -116,17 +116,6 @@ def _cmd_estimate(args, parser):
     except ValueError as exc:
         parser.error(str(exc))
     grid = np.linspace(args.a, args.b, args.grid)
-    if family is not None and family.variant == "k1":
-        strip = grid[(grid > args.a) & (grid < args.a + args.h)]
-        if strip.size:
-            alpha = (strip - args.a) / args.h
-            norm = 2.0 * np.asarray(base.antiderivative(alpha)) - 1.0
-            if norm.min() < 1e-6:
-                print(
-                    "warning: k1 normaliser below 1e-6 near the boundary; "
-                    "values remain exact but are badly conditioned",
-                    file=sys.stderr,
-                )
     values = evaluate_grid(data, cfg, grid)
     _emit(zip(grid.tolist(), values.tolist()), ["x", "Fhat"], args.out)
     return 0

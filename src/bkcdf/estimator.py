@@ -5,6 +5,24 @@ form.  With a boundary family it applies the boundary-kernel correction
 inside the strips (a, a+h) and (b-h, b), pins the estimate to 0 and 1
 outside [a, b], and agrees exactly with the classical estimator
 (``classical_cdf``) on [a+h, b-h].
+
+Each cumulative kernel is constant outside a window and a polynomial in
+it, so on the sorted sample the estimate is a count below the window plus
+a sum over one run of the data: with G = Kbar - 1/2, y_i = (X_i - c)/h for
+a centre c and S_k = sum y_i^k over the window,
+
+    sum_i G((t*s - y_i)/s) = sum_k (-1)^k G^(k)(t)/k! * s^-k * S_k.
+
+In the interior s = 1, c = (floor(x/h) + 1/2)*h, t = (x - c)/h, and each
+block of this lattice sums over its data within 3h/2 of c.  In a strip
+c = a, t*s = alpha, (s, lo, weight, norm) come from the family's ``shape``,
+and the window 0 <= y < alpha - lo is a prefix of the sample; the right
+strip reflects the data.  One sort and a binary search per point make
+O((n + m) log n) for n data and m points, not O(n*m).  The centring keeps
+|y| and |t| below 2, so no term exceeds the window count by more than a
+few hundred and the error stays near machine epsilon wherever the data
+lie; a block's sums depend only on the data, c and h, so a value has the
+same bits whichever points come with it.
 """
 
 from __future__ import annotations
@@ -14,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .boundary import BoundaryKernelFamily
 from .kernels import BaseKernel
@@ -45,16 +64,67 @@ def _as_sample(values) -> np.ndarray:
     return data
 
 
+def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
+    """Row r holds sum_{i<r} y_i^k, k = 0..degree, compensated: the exact
+    error of each running addition (Knuth's two-sum) is added back, so long
+    runs do not drift by sqrt(run) ulps as a plain running sum does."""
+    powers = np.vander(y, degree + 1, increasing=True)
+    out = np.zeros((y.size + 1, degree + 1))
+    np.cumsum(powers, axis=0, out=out[1:])
+    added = out[1:] - out[:-1]
+    lost = (out[:-1] - (out[1:] - added)) + (powers - added)
+    out[1:] += np.cumsum(lost, axis=0)
+    return out
+
+
+def _window_sum(g: np.ndarray, t, s, sums: np.ndarray) -> np.ndarray:
+    """sum_k (-1)^k g^(k)(t)/k! * s^-k * sums[:, k], by Horner in 1/s."""
+    acc = 0.0
+    for k in range(g.size - 1, -1, -1):
+        taylor = [(-1) ** k * math.comb(k + q, k) * g[k + q] for q in range(g.size - k)]
+        acc = acc / s + P.polyval(t, taylor) * sums[:, k]
+    return acc
+
+
+def _interior(data: np.ndarray, g: np.ndarray, h: float, xs: np.ndarray) -> np.ndarray:
+    """Classical estimate at the sorted points xs from the sorted data."""
+    j = np.floor(xs / h)
+    c = (j + 0.5) * h
+    first = np.searchsorted(data, c - 1.5 * h)
+    stop = np.searchsorted(data, c + 1.5 * h, side="right")
+    # a window edge rounded past its block cuts off points where K is ~1 or ~0
+    below = np.clip(np.searchsorted(data, xs - h, side="right"), first, stop)
+    end = np.clip(np.searchsorted(data, xs + h), first, stop)
+    sums = np.zeros((xs.size, g.size))
+    starts = np.flatnonzero(np.diff(j, prepend=np.nan))
+    for i, e in zip(starts, [*starts[1:], xs.size]):
+        q = _prefix_power_sums((data[first[i] : stop[i]] - c[i]) / h, g.size - 1)
+        sums[i:e] = q[end[i:e] - first[i]] - q[below[i:e] - first[i]]
+    window = 0.5 * (end - below) + _window_sum(g, (xs - c) / h, 1.0, sums)
+    return (below + window) / data.size
+
+
+def _strip(fam: BoundaryKernelFamily, y: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Left-strip estimate at the cut points alpha from sorted y = (X - a)/h."""
+    s, lo, _, w, norm = fam.shape(alpha)
+    near = y[: np.searchsorted(y, 2.0)]  # every window ends below alpha - lo < 2
+    count = np.searchsorted(near, alpha - lo)
+    sums = _prefix_power_sums(near, fam.base.odd.size - 1)[count]
+    window = _window_sum(fam.base.odd, alpha / s, s, sums)
+    return w * (window + count * fam.base.odd_part(-lo / s)) / norm / y.size
+
+
 def classical_cdf(values, base: BaseKernel, h: float, x):
-    """Plain kernel CDF estimate at x (scalar or array)."""
+    """Plain kernel CDF estimate at x (scalar or array of any shape)."""
     if not 0.0 < h < math.inf:
         raise ValueError("bandwidth must be positive and finite")
-    data = _as_sample(values)
+    data = np.sort(_as_sample(values))
     xs = np.asarray(x, dtype=float)
     if not np.isfinite(xs).all():
         raise ValueError("evaluation points must be finite")
-    u = (xs[..., None] - data) / h
-    out = np.asarray(base.antiderivative(u)).mean(axis=-1)
+    order = np.argsort(xs, axis=None)
+    out = np.empty(xs.shape)
+    out.flat[order] = _interior(data, base.odd, h, xs.flat[order])
     return out if out.ndim else float(out)
 
 
@@ -71,27 +141,17 @@ def evaluate_grid(values, cfg: EstimatorConfig, grid) -> np.ndarray:
     a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
     if data.min() < a or data.max() > b:
         raise ValueError("sample values must lie within [a, b]")
+    data = np.sort(data)
     if fam is None:
-        return np.asarray(classical_cdf(data, cfg.base, h, xs))
+        return _interior(data, cfg.base.odd, h, xs)
 
-    out = np.empty(xs.shape)
-    out[xs <= a] = 0.0
-    out[xs >= b] = 1.0
-
+    out = np.where(xs < b, 0.0, 1.0)  # pinned outside (a, b)
     mid = (xs >= a + h) & (xs <= b - h)
-    if mid.any():
-        out[mid] = classical_cdf(data, cfg.base, h, xs[mid])
-
+    out[mid] = _interior(data, cfg.base.odd, h, xs[mid])
     left = (xs > a) & (xs < a + h)
+    out[left] = _strip(fam, (data - a) / h, (xs[left] - a) / h)
     right = (xs > b - h) & (xs < b)
-    for strip, alpha, cumulative in (
-        (left, (xs[left] - a) / h, fam.left_antiderivative),
-        (right, (b - xs[right]) / h, fam.right_antiderivative),
-    ):
-        if strip.any():
-            u = (xs[strip, None] - data) / h
-            out[strip] = cumulative(u, alpha[:, None]).mean(axis=1)
-
+    out[right] = 1.0 - _strip(fam, (b - data[::-1]) / h, (b - xs[right]) / h)
     return out
 
 

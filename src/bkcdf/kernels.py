@@ -30,6 +30,8 @@ class BaseKernel:
         self.name = name
         self._coeffs = np.array(_DENSITY_COEFFS[name])
         self._anti = P.polyint(self._coeffs, lbnd=-1.0)
+        # odd part G = Kbar - 1/2 (K is even): G(-t) == -G(t) to the bit
+        self.odd = np.concatenate(([0.0], self._anti[1:]))
         # antiderivatives of u^k K(u) for the partial moments, k = 0, 1, 2
         self._moment_anti = [
             P.polyint(np.pad(self._coeffs, (k, 0)), lbnd=-1.0) for k in range(3)
@@ -55,6 +57,11 @@ class BaseKernel:
         """Cumulative kernel: 0 below -1, 1 above +1."""
         u = np.asarray(u, dtype=float)
         out = P.polyval(np.clip(u, -1.0, 1.0), self._anti)
+        return out if out.ndim else float(out)
+
+    def odd_part(self, u):
+        """G(u) = Kbar(u) - 1/2: -1/2 below -1, 1/2 above +1."""
+        out = P.polyval(np.clip(np.asarray(u, dtype=float), -1.0, 1.0), self.odd)
         return out if out.ndim else float(out)
 
     def partial_moment(self, order: int, alpha):

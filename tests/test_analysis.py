@@ -131,6 +131,15 @@ def test_pointwise_error_rejects_nan_point():
             pointwise_error(dist, make_cfg(variant), 50, np.nan)
 
 
+@pytest.mark.parametrize("variant", [None, *FAMILY_NAMES])
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_pointwise_error_names_non_finite_x(variant, x):
+    # the message is about x, not about a cut point alpha the caller never gave
+    dist = BetaMixture(0.5, 4.0)
+    with pytest.raises(ValueError, match=rf"^x must be finite, got {x!r}$"):
+        pointwise_error(dist, make_cfg(variant), 50, x)
+
+
 def test_strip_boundary_continuity():
     # the strip formulas and the interior formulas agree at x = a + h
     dist = BetaMixture(0.5, 4.0)

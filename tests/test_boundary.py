@@ -187,6 +187,18 @@ def test_k1_small_alpha_defined():
     assert np.isfinite(val) and val > 0.0
 
 
+def test_k1_small_alpha_cumulative_keeps_its_value():
+    # in the form (Kbar(u) - (1 - Kbar(alpha)))/(2*Kbar(alpha) - 1) this
+    # gave 0.7500370 at alpha = 1e-12, and 0/0 once 2*Kbar(alpha) - 1
+    # rounds to 0 (alpha below about 1e-16)
+    f1 = fam("k1")
+    assert f1.left_antiderivative(0.5e-12, 1e-12) == pytest.approx(0.75, abs=1e-12)
+    for alpha in (1e-20, 2.5e-23, 1e-300):
+        assert f1.left_antiderivative(0.0, alpha) == pytest.approx(0.5, abs=1e-15)
+        assert f1.left_antiderivative(-alpha, alpha) == 0.0
+        assert f1.left_antiderivative(alpha, alpha) == 1.0
+
+
 def test_broadcast_over_alpha():
     f = fam("k3")
     u = np.array([[-0.5], [0.2]])

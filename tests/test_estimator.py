@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
 from bkcdf.distributions import BetaMixture, replicate_rng
@@ -10,9 +14,13 @@ from bkcdf.estimator import (
     evaluate_grid,
     is_proper,
 )
-from bkcdf.kernels import BaseKernel
+from bkcdf.kernels import KERNEL_NAMES, BaseKernel
 
 EPAN = BaseKernel("epanechnikov")
+KERNELS = [BaseKernel(name) for name in KERNEL_NAMES]
+VARIANTS = [None, *FAMILY_NAMES]
+# deterministic examples and no example database in the working tree
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
 def make_cfg(variant="k3", a=0.0, b=1.0, h=0.2):
@@ -176,3 +184,146 @@ def test_supnorm_decay():
         return np.median(out)
 
     assert median_supnorm(400) < median_supnorm(100)
+
+
+def dense_estimate(data, cfg, xs):
+    """The estimate as the mean of the kernel over every (point, datum)
+    pair: the direct formula, kept here as the oracle."""
+    data = np.asarray(data, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
+    u = (xs[:, None] - data) / h
+    out = cfg.base.antiderivative(u).mean(axis=1)
+    if fam is None:
+        return out
+    left = (xs > a) & (xs < a + h)
+    right = (xs > b - h) & (xs < b)
+    alpha = ((xs[left] - a) / h)[:, None]
+    out[left] = fam.left_antiderivative(u[left], alpha).mean(axis=1)
+    alpha = ((b - xs[right]) / h)[:, None]
+    out[right] = fam.right_antiderivative(u[right], alpha).mean(axis=1)
+    out[xs <= a] = 0.0
+    out[xs >= b] = 1.0
+    return out
+
+
+@st.composite
+def problems(draw):
+    """(data, a, b, h, grid): up to 2,000 data with ties and points exactly
+    at a, b and grid points +- h; a grid holding a, b, a + h and b - h, each
+    also +- 1e-12.  The offsets stay small: the oracle forms (x - X)/h
+    directly, which loses ulp(|x|)/h."""
+    a = draw(st.sampled_from([0.0, -1.0, 2.5]))
+    b = a + draw(st.sampled_from([1.0, 0.5, 8.0]))
+    h = draw(st.floats(0.005, 0.5)) * (b - a)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = np.array([a, b, a + h, b - h])
+    inner = rng.uniform(a - h, b + h, draw(st.integers(0, 40)))
+    grid = np.concatenate([edges, edges - 1e-12, edges + 1e-12, inner])
+    n = draw(st.integers(1, 2000))
+    shape = draw(st.sampled_from([0.3, 1.0, 3.0]))
+    data = a + (b - a) * rng.beta(shape, 1.0, n)
+    specials = np.concatenate([[a, b], grid - h, grid + h])
+    specials = specials[(specials >= a) & (specials <= b)]
+    k = draw(st.integers(0, min(n, 60)))
+    data[:k] = rng.choice(specials, k)  # data on the window edges
+    ties = draw(st.integers(0, n - k))
+    data[k : k + ties] = data[0]
+    rng.shuffle(data)
+    return data, a, b, h, np.sort(grid)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=str)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+@PROPERTY
+@given(problem=problems())
+def test_evaluate_grid_matches_dense_mean(base, variant, problem):
+    data, a, b, h, grid = problem
+    fam = None if variant is None else BoundaryKernelFamily(variant, base)
+    cfg = EstimatorConfig(a, b, h, base, fam)
+    got = evaluate_grid(data, cfg, grid)
+    assert np.abs(got - dense_estimate(data, cfg, grid)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+@PROPERTY
+@given(problem=problems())
+def test_classical_cdf_matches_dense_mean(base, problem):
+    data, a, b, h, grid = problem
+    xs = np.random.default_rng(grid.size).permutation(grid)
+    got = classical_cdf(data, base, h, xs)
+    ref = dense_estimate(data, EstimatorConfig(a, b, h, base), xs)
+    assert np.abs(got - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_proper_within_ulps_of_the_boundaries(base, variant):
+    # x = a + k*eps and b - k*eps, k = 1..1000, with data at, just above
+    # and just below the support ends
+    eps = np.finfo(float).eps
+    steps = eps * np.arange(1, 1001)
+    grid = np.concatenate([[0.0], steps, [0.5], 1.0 - steps[::-1], [1.0]])
+    rng = np.random.default_rng(7)
+    ends = [0.0, 0.0, 5e-324, 1e-300, 3 * eps, 1.0, 1.0 - eps]
+    data = np.concatenate([ends, steps[::97], rng.uniform(0, 1, 40)])
+    cfg = EstimatorConfig(0.0, 1.0, 0.2, base, BoundaryKernelFamily(variant, base))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        vals = evaluate_grid(data, cfg, grid)
+    assert is_proper(vals, 1e-12)
+    assert np.abs(vals - dense_estimate(data, cfg, grid)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+def test_k1_tiny_cut_points(variant):
+    # the k1 normaliser once rounded to 0 here: x = 5e-24 gave 0/0 and a
+    # NaN, and F(1e-13) = 7.4e-5 stood above F(1e-11) = 0; the true value
+    # is 0 at all three points, as no datum lies within 2x of a
+    cfg = make_cfg(variant)
+    grid = [0.0, 5e-24, 1e-13, 1e-11, 0.1, 1.0]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        vals = evaluate_grid([0.3, 0.5], cfg, grid)
+    assert vals[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert is_proper(vals, 1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=str)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_grid_values_match_one_point_calls(base, variant):
+    # a value does not depend on the other points evaluated with it
+    fam = None if variant is None else BoundaryKernelFamily(variant, base)
+    cfg = EstimatorConfig(-0.5, 1.5, 0.3, base, fam)
+    draws = BetaMixture(0.4, 3.0).sample(replicate_rng(5, 0), 60)
+    data = np.concatenate([[-0.5, 1.5, 0.1, 0.1], 2.0 * draws - 0.5])
+    xs = np.sort(np.concatenate([np.linspace(-0.9, 1.9, 97), data + 0.3, data - 0.3]))
+    vals = evaluate_grid(data, cfg, xs)
+    for x, v in zip(xs, vals):
+        assert boundary_cdf(data, cfg, x) == v
+
+
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_classical_cdf_shapes_match_pointwise_calls(base):
+    data = BetaMixture(0.4, 3.0).sample(replicate_rng(6, 0), 80)
+    x = np.random.default_rng(1).uniform(-0.3, 1.3, (7, 9))
+    vals = classical_cdf(data, base, 0.15, x)
+    assert vals.shape == (7, 9)
+    for idx in np.ndindex(x.shape):
+        assert classical_cdf(data, base, 0.15, float(x[idx])) == vals[idx]
+    flat = x.ravel()
+    assert np.array_equal(classical_cdf(data, base, 0.15, flat), vals.ravel())
+    assert isinstance(classical_cdf(data, base, 0.15, 0.4), float)
+
+
+def test_memory_is_linear_in_n_plus_m():
+    # 40,000 data on 1,001 points: an (m x n) array of doubles is 320 MB,
+    # the windowed sums need about 2.3 MB
+    data = BetaMixture(0.5, 3.0).sample(replicate_rng(8, 0), 40_000)
+    grid = np.linspace(0.0, 1.0, 1001)
+    tracemalloc.start()
+    try:
+        for variant in VARIANTS:
+            evaluate_grid(data, make_cfg(variant, h=0.05), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

@@ -35,9 +35,20 @@ def test_antiderivative_values():
 
 @pytest.mark.parametrize("kernel", ALL, ids=KERNEL_NAMES)
 def test_antiderivative_exact_at_support_ends(kernel):
-    # the boundary families' cumulative offset relies on these being exact
+    # the estimator counts data at and past the window edges as exactly 1 or 0
     assert kernel.antiderivative(-1.0) == 0.0
     assert kernel.antiderivative(1.0) == 1.0
+
+
+@pytest.mark.parametrize("kernel", ALL, ids=KERNEL_NAMES)
+def test_odd_part(kernel):
+    # G = Kbar - 1/2 is odd to the bit, reaches +-1/2 exactly at +-1 and is
+    # clamped outside; the boundary families and the estimator rely on this
+    u = np.linspace(-1.2, 1.2, 241)
+    assert kernel.odd[0] == 0.0 and not np.any(kernel.odd[2::2])
+    assert np.array_equal(kernel.odd_part(-u), -kernel.odd_part(u))
+    assert kernel.odd_part(1.0) == 0.5 and kernel.odd_part(-3.0) == -0.5
+    assert np.allclose(kernel.odd_part(u) + 0.5, kernel.antiderivative(u), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kernel", ALL, ids=KERNEL_NAMES)
