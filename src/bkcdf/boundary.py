@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BaseKernel
-from .quadrature import QuadSpec, integrate
+from .kernels import BaseKernel, square_integral
 
 FAMILY_NAMES = ("k1", "k2", "k3")
 
@@ -127,26 +126,21 @@ class BoundaryKernelFamily:
         out = self.moment(2, alpha) - alpha * self.moment(1, alpha)
         return out if np.ndim(out) else float(out)
 
-    def m1(self, alpha: float, spec: QuadSpec | None = None) -> float:
-        """First moment of 2*Kbar*K over the support, by quadrature.
+    def m1(self, alpha: float) -> float:
+        """First moment of 2*Kbar*K over the support [lo, hi], in closed form
+        by parts: hi * mu0^2 - integral of Kbar^2, where on [lo, hi] the left
+        cumulative Kbar = weight*(G(u/scale) + G(-lo/scale))/norm is a
+        polynomial in u."""
+        s, lo, hi, w, norm = self.shape(float(alpha))
+        g = self.base.odd / s ** np.arange(self.base.odd.size)
+        g[0] = self.base.odd_part(-lo / s)
+        return float(hi * self.moment(0, alpha) ** 2 - square_integral(w * g / norm, lo, hi))
 
-        Cross-checkable against the integration-by-parts identity
-        hi * mu0^2 - integral of Kbar^2, with hi the upper support end.
-        """
-        alpha = float(alpha)
-        lo, hi = self.support(alpha)
-        kinks = [p for p in (-alpha, alpha) if lo < p < hi]
-
-        def integrand(u):
-            return u * 2.0 * self.left_antiderivative(u, alpha) * self.left_density(u, alpha)
-
-        return integrate(integrand, lo, hi, spec, points=kinks)
-
-    def nu_var_coeff(self, alpha: float, spec: QuadSpec | None = None) -> float:
+    def nu_var_coeff(self, alpha: float) -> float:
         """Variance correction coefficient m1(alpha) + alpha*(1 - mu0^2)."""
         alpha = float(alpha)
         mu0 = self.moment(0, alpha)
-        return self.m1(alpha, spec) + alpha * (1.0 - mu0**2)
+        return self.m1(alpha) + alpha * (1.0 - mu0**2)
 
     def check_conditions(self, alphas, tol: float) -> list[ConditionCheck]:
         """Evaluate the strong (C1) and weak (C2) moment conditions."""

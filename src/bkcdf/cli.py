@@ -14,7 +14,6 @@ import numpy as np
 
 from .analysis import (
     NoOptimalBandwidthError,
-    asymptotic_pointwise,
     exact_mise,
     exact_mse_curve,
     mise_terms,

@@ -1,10 +1,11 @@
-"""Kernel distribution function estimators.
+"""Kernel distribution function estimators: fit once, evaluate many.
 
-``evaluate_grid`` is the one evaluator; ``boundary_cdf`` is its one-point
-form.  With a boundary family it applies the boundary-kernel correction
-inside the strips (a, a+h) and (b-h, b), pins the estimate to 0 and 1
-outside [a, b], and agrees exactly with the classical estimator
-(``classical_cdf``) on [a+h, b-h].
+``FittedSample`` validates and sorts a sample once; ``evaluate`` gives
+several estimators at once on a ``Grid`` (points validated and split once)
+and shares the classical values on [a+h, b-h] and the strip sums between
+them.  ``evaluate_grid`` fits and evaluates one estimator, ``boundary_cdf``
+at one point.  A boundary family corrects the strips (a, a+h) and (b-h, b),
+pins the estimate to 0 and 1 outside [a, b], and is classical in between.
 
 Each cumulative kernel is constant outside a window and a polynomial in
 it, so on the sorted sample the estimate is a count below the window plus
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -77,41 +79,94 @@ def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _window_sum(g: np.ndarray, t, s, sums: np.ndarray) -> np.ndarray:
-    """sum_k (-1)^k g^(k)(t)/k! * s^-k * sums[:, k], by Horner in 1/s."""
+def _window_sum(base: BaseKernel, t, s, sums: np.ndarray) -> np.ndarray:
+    """sum_k (-1)^k G^(k)(t)/k! * s^-k * sums[:, k], by Horner in 1/s."""
     acc = 0.0
-    for k in range(g.size - 1, -1, -1):
-        taylor = [(-1) ** k * math.comb(k + q, k) * g[k + q] for q in range(g.size - k)]
-        acc = acc / s + P.polyval(t, taylor) * sums[:, k]
+    for k in range(base.odd.size - 1, -1, -1):
+        acc = acc / s + P.polyval(t, base.taylor[k]) * sums[:, k]
     return acc
 
 
-def _interior(data: np.ndarray, g: np.ndarray, h: float, xs: np.ndarray) -> np.ndarray:
+def _interior(data: np.ndarray, base: BaseKernel, h: float, xs: np.ndarray) -> np.ndarray:
     """Classical estimate at the sorted points xs from the sorted data."""
     j = np.floor(xs / h)
     c = (j + 0.5) * h
-    first = np.searchsorted(data, c - 1.5 * h)
-    stop = np.searchsorted(data, c + 1.5 * h, side="right")
+    starts = np.flatnonzero(np.diff(j, prepend=np.nan))
+    counts = np.diff(starts, append=xs.size)
+    first = np.repeat(np.searchsorted(data, c[starts] - 1.5 * h), counts)
+    stop = np.repeat(np.searchsorted(data, c[starts] + 1.5 * h, side="right"), counts)
     # a window edge rounded past its block cuts off points where K is ~1 or ~0
     below = np.clip(np.searchsorted(data, xs - h, side="right"), first, stop)
     end = np.clip(np.searchsorted(data, xs + h), first, stop)
-    sums = np.zeros((xs.size, g.size))
-    starts = np.flatnonzero(np.diff(j, prepend=np.nan))
+    sums = np.zeros((xs.size, base.odd.size))
     for i, e in zip(starts, [*starts[1:], xs.size]):
-        q = _prefix_power_sums((data[first[i] : stop[i]] - c[i]) / h, g.size - 1)
-        sums[i:e] = q[end[i:e] - first[i]] - q[below[i:e] - first[i]]
-    window = 0.5 * (end - below) + _window_sum(g, (xs - c) / h, 1.0, sums)
+        q = _prefix_power_sums((data[first[i] : stop[i]] - c[i]) / h, base.odd.size - 1)
+        sums[i:e] = np.take(q, end[i:e] - first[i], 0) - np.take(q, below[i:e] - first[i], 0)
+    window = 0.5 * (end - below) + _window_sum(base, (xs - c) / h, 1.0, sums)
     return (below + window) / data.size
 
 
-def _strip(fam: BoundaryKernelFamily, y: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Left-strip estimate at the cut points alpha from sorted y = (X - a)/h."""
-    s, lo, _, w, norm = fam.shape(alpha)
-    near = y[: np.searchsorted(y, 2.0)]  # every window ends below alpha - lo < 2
-    count = np.searchsorted(near, alpha - lo)
-    sums = _prefix_power_sums(near, fam.base.odd.size - 1)[count]
-    window = _window_sum(fam.base.odd, alpha / s, s, sums)
-    return w * (window + count * fam.base.odd_part(-lo / s)) / norm / y.size
+class Grid:
+    """Sorted finite points, split once for the a, b and h of cfg into the
+    left strip, the middle [a + h, b - h] and the right strip."""
+
+    def __init__(self, points, cfg: EstimatorConfig):
+        xs = self.xs = np.asarray(points, dtype=float)
+        if xs.ndim != 1:
+            raise ValueError("grid must be one-dimensional")
+        if not np.isfinite(xs).all():
+            raise ValueError("grid points must be finite")
+        if xs.size > 1 and np.any(np.diff(xs) < 0.0):
+            raise ValueError("grid must be sorted")
+        a, b, h = self.split = cfg.a, cfg.b, cfg.h
+        self.left, self.right = (xs > a) & (xs < a + h), (xs > b - h) & (xs < b)
+        self.mid = (xs >= a + h) & (xs <= b - h)
+
+
+class FittedSample:
+    """A sample validated on [a, b] and sorted once (the family in cfg is
+    not used); its strip power sums depend only on the base kernel."""
+
+    def __init__(self, values, cfg: EstimatorConfig):
+        self.data = np.sort(_as_sample(values))
+        if self.data[0] < cfg.a or self.data[-1] > cfg.b:
+            raise ValueError("sample values must lie within [a, b]")
+        self.cfg = cfg
+
+    @cached_property
+    def _strips(self):
+        """Per strip, the sorted y below 2, where every window ends, and their
+        power sums: y = (X - a)/h, then the reflected (b - X)/h."""
+        cfg = self.cfg
+        ys = ((self.data - cfg.a) / cfg.h, (cfg.b - self.data[::-1]) / cfg.h)
+        near = [y[: np.searchsorted(y, 2.0)] for y in ys]
+        return [(y, _prefix_power_sums(y, cfg.base.odd.size - 1)) for y in near]
+
+    def _strip(self, fam: BoundaryKernelFamily, side: int, alpha: np.ndarray) -> np.ndarray:
+        """Left-strip estimate at the cut points alpha from one strip's sums."""
+        near, sums = self._strips[side]
+        s, lo, _, w, norm = fam.shape(alpha)
+        count = np.searchsorted(near, alpha - lo)
+        window = _window_sum(fam.base, alpha / s, s, np.take(sums, count, 0))
+        return w * (window + count * fam.base.odd_part(-lo / s)) / norm / self.data.size
+
+    def evaluate(self, families, grid: Grid) -> list[np.ndarray]:
+        """The estimate at grid.xs of each family in the sequence families
+        (None for classical), in order."""
+        a, b, h, base = self.cfg.a, self.cfg.b, self.cfg.h, self.cfg.base
+        if grid.split != (a, b, h) or any(f is not None and f.base != base for f in families):
+            raise ValueError("grid and families must match the fitted a, b, h and kernel")
+        xs, mid = grid.xs, grid.mid
+        inner = slice(None) if None in families else mid
+        classical = np.zeros(xs.size)
+        classical[inner] = _interior(self.data, base, h, xs[inner])
+        out = [classical if fam is None else np.where(xs < b, 0.0, 1.0) for fam in families]
+        for fam, est in zip(families, out):
+            if fam is not None:  # pinned outside (a, b), classical between the strips
+                est[mid] = classical[mid]
+                est[grid.left] = self._strip(fam, 0, (xs[grid.left] - a) / h)
+                est[grid.right] = 1.0 - self._strip(fam, 1, (b - xs[grid.right]) / h)
+        return out
 
 
 def classical_cdf(values, base: BaseKernel, h: float, x):
@@ -124,35 +179,13 @@ def classical_cdf(values, base: BaseKernel, h: float, x):
         raise ValueError("evaluation points must be finite")
     order = np.argsort(xs, axis=None)
     out = np.empty(xs.shape)
-    out.flat[order] = _interior(data, base.odd, h, xs.flat[order])
+    out.flat[order] = _interior(data, base, h, xs.flat[order])
     return out if out.ndim else float(out)
 
 
 def evaluate_grid(values, cfg: EstimatorConfig, grid) -> np.ndarray:
     """The configured estimate on a sorted grid of finite points."""
-    data = _as_sample(values)
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("grid must be one-dimensional")
-    if not np.isfinite(xs).all():
-        raise ValueError("grid points must be finite")
-    if xs.size > 1 and np.any(np.diff(xs) < 0.0):
-        raise ValueError("grid must be sorted")
-    a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
-    if data.min() < a or data.max() > b:
-        raise ValueError("sample values must lie within [a, b]")
-    data = np.sort(data)
-    if fam is None:
-        return _interior(data, cfg.base.odd, h, xs)
-
-    out = np.where(xs < b, 0.0, 1.0)  # pinned outside (a, b)
-    mid = (xs >= a + h) & (xs <= b - h)
-    out[mid] = _interior(data, cfg.base.odd, h, xs[mid])
-    left = (xs > a) & (xs < a + h)
-    out[left] = _strip(fam, (data - a) / h, (xs[left] - a) / h)
-    right = (xs > b - h) & (xs < b)
-    out[right] = 1.0 - _strip(fam, (b - data[::-1]) / h, (b - xs[right]) / h)
-    return out
+    return FittedSample(values, cfg).evaluate([cfg.family], Grid(grid, cfg))[0]
 
 
 def boundary_cdf(values, cfg: EstimatorConfig, x: float) -> float:

@@ -7,6 +7,8 @@ derived once from it.  Quadrature only appears in the tests, as an oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import polynomial as P
 
@@ -21,6 +23,12 @@ _DENSITY_COEFFS = {
 }
 
 
+def square_integral(coeffs, lo: float, hi: float) -> float:
+    """Integral of p(u)^2 over [lo, hi], p given by ascending coefficients."""
+    sq = P.polyint(P.polymul(coeffs, coeffs))
+    return float(P.polyval(hi, sq) - P.polyval(lo, sq))
+
+
 class BaseKernel:
     """A symmetric probability density on [-1, 1] with closed forms."""
 
@@ -32,6 +40,10 @@ class BaseKernel:
         self._anti = P.polyint(self._coeffs, lbnd=-1.0)
         # odd part G = Kbar - 1/2 (K is even): G(-t) == -G(t) to the bit
         self.odd = np.concatenate(([0.0], self._anti[1:]))
+        self.taylor = [  # row k: (-1)^k G^(k)(t)/k! in powers of t
+            np.array([(-1) ** k * math.comb(k + q, k) * c for q, c in enumerate(self.odd[k:])])
+            for k in range(self.odd.size)
+        ]
         # antiderivatives of u^k K(u) for the partial moments, k = 0, 1, 2
         self._moment_anti = [
             P.polyint(np.pad(self._coeffs, (k, 0)), lbnd=-1.0) for k in range(3)
@@ -80,8 +92,7 @@ class BaseKernel:
 
     def r_constant(self) -> float:
         """Integral of u * 2 * Kbar(u) * K(u); equals 1 - integral of Kbar^2."""
-        sq = P.polyint(P.polymul(self._anti, self._anti))
-        return 1.0 - float(P.polyval(1.0, sq) - P.polyval(-1.0, sq))
+        return 1.0 - square_integral(self._anti, -1.0, 1.0)
 
     def delta(self) -> float:
         """Bandwidth constant r^(1/3) * (second moment)^(-2/3)."""

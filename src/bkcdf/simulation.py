@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import mise_terms
 from .boundary import BoundaryKernelFamily
 from .distributions import replicate_rng
-from .estimator import EstimatorConfig, evaluate_grid
+from .estimator import EstimatorConfig, FittedSample, Grid
 from .kernels import BaseKernel
 
 PANELS_PER_UNIT = 4096
@@ -77,42 +77,28 @@ def resolve_bandwidth(cfg: SimConfig) -> float:
 
 
 def run_ise(cfg: SimConfig) -> SimResult:
-    """Run the replicated ISE experiment described by cfg."""
+    """Run the replicated ISE experiment described by cfg: one grid holds
+    every region's Simpson nodes, and each replicate is fitted once."""
     a, b = cfg.dist.support
     h = resolve_bandwidth(cfg)
+    est = EstimatorConfig(a, b, h, cfg.base)  # checks h before the default regions use it
     regions = cfg.regions or ((a, a + h), (b - h, b), (a, b))
     regions = tuple((float(lo), float(hi)) for lo, hi in regions)
     for lo, hi in regions:
         if not (a <= lo <= hi <= b):
             raise ValueError("regions must be contained in the support")
 
-    grids = []
-    refs = []
-    for lo, hi in regions:
-        if lo == hi:
-            grids.append(None)
-            refs.append(None)
-        else:
-            x, w = _simpson_grid(lo, hi)
-            grids.append((x, w))
-            refs.append(cfg.dist.cdf(x))
-
-    estimators = []
-    for fam in cfg.families:
-        family = None if fam == "classical" else BoundaryKernelFamily(fam, cfg.base)
-        estimators.append(EstimatorConfig(a, b, h, cfg.base, family))
+    live = [(k, *_simpson_grid(lo, hi)) for k, (lo, hi) in enumerate(regions) if lo < hi]
+    grid = Grid(np.sort(np.concatenate([np.empty(0)] + [x for _, x, _ in live])), est)
+    cells = [(k, np.searchsorted(grid.xs, x), w, cfg.dist.cdf(x)) for k, x, w in live]
+    fams = [None if f == "classical" else BoundaryKernelFamily(f, cfg.base) for f in cfg.families]
 
     ise = np.zeros((cfg.reps, len(cfg.families), len(regions)))
     for r in range(cfg.reps):
-        rng = replicate_rng(cfg.seed, r)
-        sample = cfg.dist.sample(rng, cfg.n)
-        for j, est in enumerate(estimators):
-            for k, grid in enumerate(grids):
-                if grid is None:
-                    continue
-                x, w = grid
-                fhat = evaluate_grid(sample, est, x)
-                ise[r, j, k] = float(w @ (fhat - refs[k]) ** 2)
+        sample = cfg.dist.sample(replicate_rng(cfg.seed, r), cfg.n)
+        for j, fhat in enumerate(FittedSample(sample, est).evaluate(fams, grid)):
+            for k, at, w, ref in cells:
+                ise[r, j, k] = float(w @ (fhat[at] - ref) ** 2)
 
     return SimResult(
         families=tuple(cfg.families),

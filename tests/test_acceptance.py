@@ -357,3 +357,27 @@ def test_acceptance_10_determinism(sim_csv_pair):
     (path1, path2), _ = sim_csv_pair
     ok = path1.read_bytes() == path2.read_bytes()
     report(10, "repeated simulation run is byte-identical", ok)
+
+
+def test_simulation_mean_ise_matches_exact_mise(sim_csv_pair):
+    # The two halves of the package must agree: over the 500 replicates of
+    # the Acceptance-9 run, each (estimator, region) cell's mean ISE
+    # estimates the exact MISE over that region at the same n and h0.  The
+    # bound |z| <= 4 per cell is fixed in advance.
+    (path, _), _ = sim_csv_pair
+    dist = BetaMixture(0.75, 5.0)
+    h0 = mise_terms(dist, EPAN, 50).h0
+    cells: dict[tuple[str, str], list[float]] = {}
+    for line in path.read_text().strip().split("\n")[1:]:
+        _, fam, region, ise = line.split(",")
+        cells.setdefault((fam, region), []).append(float(ise))
+    assert len(cells) == 12
+    zs = []
+    for (name, region), values in cells.items():
+        lo, hi = (float(t) for t in region.split(":"))
+        fam = None if name == "classical" else BoundaryKernelFamily(name, EPAN)
+        exact = exact_mise(dist, EstimatorConfig(0.0, 1.0, h0, EPAN, fam), 50, (lo, hi))
+        v = np.array(values)
+        zs.append((v.mean() - exact) / (v.std(ddof=1) / np.sqrt(v.size)))
+    print("mean ISE vs exact MISE, z per cell:", " ".join(f"{z:+.2f}" for z in zs))
+    assert max(abs(z) for z in zs) <= 4.0

@@ -135,6 +135,22 @@ def test_m1_support_endpoint_identity(variant):
         assert f.m1(alpha) == pytest.approx(hi * mu0**2 - sq, abs=1e-9)
 
 
+@pytest.mark.parametrize("base_name", KERNEL_NAMES)
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+def test_m1_matches_quadrature_of_definition(variant, base_name):
+    # m1 is computed by parts; integrate its definition u * 2*Kbar*k directly
+    f = fam(variant, BaseKernel(base_name))
+    for alpha in (0.01, 0.3, 0.7, 0.99):
+        lo, hi = f.support(alpha)
+        direct = integrate(
+            lambda u: u * 2.0 * f.left_antiderivative(u, alpha) * f.left_density(u, alpha),
+            lo,
+            hi,
+            points=[p for p in (-alpha, alpha) if lo < p < hi],
+        )
+        assert f.m1(alpha) == pytest.approx(direct, abs=1e-14)
+
+
 def test_nu_var_coeff():
     assert fam("k1").nu_var_coeff(0.4) == pytest.approx(fam("k1").m1(0.4), abs=1e-13)
     assert fam("k2").nu_var_coeff(0.5) == pytest.approx(9 / 70, abs=1e-10)

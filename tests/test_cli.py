@@ -253,3 +253,12 @@ def test_simulate_bad_region():
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--uniform", "--h", "0.2", "--region", "oops"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--h", "nan"], ["--h", "-1"], ["--n", "1"]])
+def test_simulate_bad_bandwidth_reported_as_bandwidth(flags, capsys):
+    # --n 1 makes h0 about 1.03, wider than half the support
+    assert main(["simulate", "--w", "0.75", "--b", "5", "--reps", "2"] + flags) == 2
+    err = capsys.readouterr().err
+    assert "bandwidth must satisfy 0 < h <= (b - a)/2" in err
+    assert "region" not in err

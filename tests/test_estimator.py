@@ -9,6 +9,8 @@ from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
 from bkcdf.distributions import BetaMixture, replicate_rng
 from bkcdf.estimator import (
     EstimatorConfig,
+    FittedSample,
+    Grid,
     boundary_cdf,
     classical_cdf,
     evaluate_grid,
@@ -123,6 +125,17 @@ def test_non_finite_grid_point_rejected():
         evaluate_grid([0.3], cfg, [0.1, np.nan])
     with pytest.raises(ValueError):
         boundary_cdf([0.3], cfg, np.nan)
+
+
+def test_fitted_sample_rejects_a_foreign_grid_or_kernel():
+    # strip sums and grid masks are built for one (a, b, h) and base kernel
+    cfg = make_cfg(None)
+    fit = FittedSample([0.1, 0.5], cfg)
+    assert fit.evaluate([None], Grid([0.5], cfg))[0].shape == (1,)
+    with pytest.raises(ValueError):
+        fit.evaluate([None], Grid([0.5], make_cfg(None, h=0.1)))
+    with pytest.raises(ValueError):
+        fit.evaluate([BoundaryKernelFamily("k1", BaseKernel("biweight"))], Grid([0.1], cfg))
 
 
 def test_evaluate_grid_basics():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from bkcdf.distributions import BetaMixture
-from bkcdf.kernels import BaseKernel
-from bkcdf.simulation import SimConfig, SimResult, run_ise, summarize
+from bkcdf.boundary import BoundaryKernelFamily
+from bkcdf.distributions import BetaMixture, replicate_rng
+from bkcdf.estimator import EstimatorConfig, evaluate_grid
+from bkcdf.kernels import KERNEL_NAMES, BaseKernel
+from bkcdf.simulation import PANELS_PER_UNIT, SimConfig, SimResult, run_ise, summarize
 
 DIST = BetaMixture(0.5, 4.0)
 
@@ -113,3 +115,34 @@ def test_result_invariants_enforced():
             seed=res.seed,
             ise=-np.ones_like(res.ise),
         )
+
+
+def simpson(lo, hi):
+    panels = max(1, int(np.ceil((hi - lo) * PANELS_PER_UNIT)))
+    x = np.linspace(lo, hi, 2 * panels + 1)
+    w = np.ones(x.size)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return x, w * (hi - lo) / panels / 6.0
+
+
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+@pytest.mark.parametrize("families", [("classical", "k1", "k2", "k3"), ("k3", "k2")])
+def test_shared_fit_equals_one_call_per_cell(kernel, families):
+    # run_ise fits each sample once and evaluates every cell on one shared
+    # grid; recomputing each (family, region) from its own evaluate_grid
+    # call must give the same bits.  Regions: the full interval, an empty
+    # one, one inside [a + h, b - h] and two that cross a strip edge.
+    regions = ((0.0, 1.0), (0.35, 0.35), (0.3, 0.6), (0.1, 0.9), (0.75, 1.0))
+    cfg = small_cfg(base=BaseKernel(kernel), families=families, regions=regions, reps=3)
+    expect = np.zeros((cfg.reps, len(families), len(regions)))
+    for r in range(cfg.reps):
+        sample = DIST.sample(replicate_rng(cfg.seed, r), cfg.n)
+        for j, name in enumerate(families):
+            fam = None if name == "classical" else BoundaryKernelFamily(name, cfg.base)
+            est = EstimatorConfig(0.0, 1.0, cfg.h, cfg.base, fam)
+            for k, (lo, hi) in enumerate(regions):
+                if lo < hi:
+                    x, w = simpson(lo, hi)
+                    expect[r, j, k] = w @ (evaluate_grid(sample, est, x) - DIST.cdf(x)) ** 2
+    assert np.array_equal(run_ise(cfg).ise, expect)
