@@ -75,44 +75,38 @@ def _check(dist, cfg: EstimatorConfig, n: int) -> None:
         raise ValueError("distribution support does not match the estimator config")
 
 
-def _moments(dist, x, h, density, cumulative, lo, hi, kinks, spec):
+def _moments(dist, x, h, density, cumulative, lo, hi, kinks):
     """(bias, n*variance) at x of the estimator whose kernel at x has this
     density and cumulative on [lo, hi], with kinks at the given points."""
 
     def cdf_at(u):
         return dist.cdf(x - np.asarray(u, dtype=float) * h)
 
-    e1 = integrate(lambda u: cdf_at(u) * density(u), lo, hi, spec, points=kinks)
-    e2 = integrate(
-        lambda u: cdf_at(u) * 2.0 * cumulative(u) * density(u), lo, hi, spec, points=kinks
-    )
+    e1 = integrate(lambda u: cdf_at(u) * density(u), lo, hi, points=kinks)
+    e2 = integrate(lambda u: cdf_at(u) * 2.0 * cumulative(u) * density(u), lo, hi, points=kinks)
     return e1 - dist.cdf(x), max(e2 - e1**2, 0.0)
 
 
-def _left_strip_moments(dist, fam, x, h, alpha, spec):
+def _left_strip_moments(dist, fam, x, h, alpha):
     """_moments at the left-strip point x = a + alpha*h."""
     lo, hi = fam.support(alpha)
     kinks = [p for p in (-alpha, alpha) if lo < p < hi]
     density = partial(fam.left_density, alpha=alpha)
     cumulative = partial(fam.left_antiderivative, alpha=alpha)
-    return _moments(dist, x, h, density, cumulative, lo, hi, kinks, spec)
+    return _moments(dist, x, h, density, cumulative, lo, hi, kinks)
 
 
-def exact_bias(dist, cfg: EstimatorConfig, alpha: float, spec: QuadSpec | None = None) -> float:
+def exact_bias(dist, cfg: EstimatorConfig, alpha: float) -> float:
     """Exact bias at the left-strip point a + alpha*h (n-free)."""
-    return exact_mse_curve(dist, cfg, 1, [alpha], spec)[0].bias
+    return exact_mse_curve(dist, cfg, 1, [alpha])[0].bias
 
 
-def exact_variance(
-    dist, cfg: EstimatorConfig, alpha: float, n: int, spec: QuadSpec | None = None
-) -> float:
+def exact_variance(dist, cfg: EstimatorConfig, alpha: float, n: int) -> float:
     """Exact variance at the left-strip point a + alpha*h for sample size n."""
-    return exact_mse_curve(dist, cfg, n, [alpha], spec)[0].variance
+    return exact_mse_curve(dist, cfg, n, [alpha])[0].variance
 
 
-def exact_mse_curve(
-    dist, cfg: EstimatorConfig, n: int, alphas, spec: QuadSpec | None = None
-) -> list[PointwiseError]:
+def exact_mse_curve(dist, cfg: EstimatorConfig, n: int, alphas) -> list[PointwiseError]:
     """Exact pointwise errors across the left boundary strip."""
     _check(dist, cfg, n)
     fam = cfg.family
@@ -121,13 +115,13 @@ def exact_mse_curve(
     out = []
     for alpha in np.asarray(alphas, dtype=float).tolist():
         x = cfg.a + alpha * cfg.h
-        bias, nvar = _left_strip_moments(dist, fam, x, cfg.h, alpha, spec)
+        bias, nvar = _left_strip_moments(dist, fam, x, cfg.h, alpha)
         out.append(PointwiseError(x=x, bias=bias, variance=nvar / n))
     return out
 
 
 def asymptotic_pointwise(
-    dist, fam: BoundaryKernelFamily, base: BaseKernel, h: float, alpha: float, n: int
+    dist, fam: BoundaryKernelFamily, h: float, alpha: float, n: int
 ) -> PointwiseError:
     """Leading-term bias and variance at the left-strip point a + alpha*h."""
     if n < 1:
@@ -140,12 +134,12 @@ def asymptotic_pointwise(
     return PointwiseError(x=x, bias=bias, variance=nv / n)
 
 
-def mise_terms(dist, base: BaseKernel, n: int, spec: QuadSpec | None = None) -> MiseTerms:
+def mise_terms(dist, base: BaseKernel, n: int) -> MiseTerms:
     """Leading MISE terms and the asymptotically optimal bandwidth."""
     if n < 1:
         raise ValueError("need n >= 1")
     a, b = dist.support
-    i0 = integrate(lambda x: dist.cdf(x) * (1.0 - dist.cdf(x)), a, b, spec)
+    i0 = integrate(lambda x: dist.cdf(x) * (1.0 - dist.cdf(x)), a, b)
     rough = dist.roughness()
     if rough <= 0.0:
         raise NoOptimalBandwidthError(
@@ -162,41 +156,39 @@ def mise_terms(dist, base: BaseKernel, n: int, spec: QuadSpec | None = None) -> 
     )
 
 
-def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float, spec):
+def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
     """(bias, variance) of the configured estimator at x."""
     a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
     if fam is None or a + h <= x <= b - h:
         kinks = [p for p in ((x - b) / h, (x - a) / h) if -1.0 < p < 1.0]
         base = cfg.base
-        bias, nvar = _moments(dist, x, h, base.density, base.antiderivative, -1, 1, kinks, spec)
+        bias, nvar = _moments(dist, x, h, base.density, base.antiderivative, -1, 1, kinks)
     elif x <= a or x >= b:
         return 0.0, 0.0
     elif x < a + h:
-        bias, nvar = _left_strip_moments(dist, fam, x, h, (x - a) / h, spec)
+        bias, nvar = _left_strip_moments(dist, fam, x, h, (x - a) / h)
     else:
         # right strip: the estimate equals 1 minus the left-strip estimate of
         # the reflected distribution at the mirrored point
         alpha = (b - x) / h
-        bias, nvar = _left_strip_moments(Reflected(dist), fam, a + alpha * h, h, alpha, spec)
+        bias, nvar = _left_strip_moments(Reflected(dist), fam, a + alpha * h, h, alpha)
         bias = -bias
     return bias, nvar / n
 
 
-def pointwise_error(
-    dist, cfg: EstimatorConfig, n: int, x: float, spec: QuadSpec | None = None
-) -> PointwiseError:
+def pointwise_error(dist, cfg: EstimatorConfig, n: int, x: float) -> PointwiseError:
     """Exact pointwise error at any finite x, dispatching on the strip."""
     _check(dist, cfg, n)
     if not np.isfinite(x):  # a NaN would fail every region test below
         raise ValueError(f"x must be finite, got {float(x)!r}")
-    bias, var = _pointwise(dist, cfg, n, float(x), spec)
+    bias, var = _pointwise(dist, cfg, n, float(x))
     return PointwiseError(x=float(x), bias=bias, variance=var)
 
 
 _OUTER_SPEC = QuadSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2**15)
 
 
-def _integrated(dist, cfg: EstimatorConfig, n: int, region, spec, inner_spec, squared_bias):
+def _integrated(dist, cfg: EstimatorConfig, n: int, region, squared_bias):
     """Integral over a region of the pointwise variance, plus the squared
     bias when squared_bias is set."""
     _check(dist, cfg, n)
@@ -205,32 +197,18 @@ def _integrated(dist, cfg: EstimatorConfig, n: int, region, spec, inner_spec, sq
         raise ValueError("region must be contained in [a, b]")
 
     def integrand(x):
-        bias, var = _pointwise(dist, cfg, n, float(x), inner_spec)
+        bias, var = _pointwise(dist, cfg, n, float(x))
         return var + bias**2 if squared_bias else var
 
     panels = [p for p in (cfg.a + cfg.h, cfg.b - cfg.h) if lo < p < hi]
-    return integrate(integrand, lo, hi, spec or _OUTER_SPEC, points=panels)
+    return integrate(integrand, lo, hi, _OUTER_SPEC, points=panels)
 
 
-def exact_mise(
-    dist,
-    cfg: EstimatorConfig,
-    n: int,
-    region,
-    spec: QuadSpec | None = None,
-    inner_spec: QuadSpec | None = None,
-) -> float:
+def exact_mise(dist, cfg: EstimatorConfig, n: int, region) -> float:
     """Exact MISE over a region, by integrating the pointwise MSE."""
-    return _integrated(dist, cfg, n, region, spec, inner_spec, squared_bias=True)
+    return _integrated(dist, cfg, n, region, squared_bias=True)
 
 
-def exact_integrated_variance(
-    dist,
-    cfg: EstimatorConfig,
-    n: int,
-    region,
-    spec: QuadSpec | None = None,
-    inner_spec: QuadSpec | None = None,
-) -> float:
+def exact_integrated_variance(dist, cfg: EstimatorConfig, n: int, region) -> float:
     """Exact integrated variance over a region."""
-    return _integrated(dist, cfg, n, region, spec, inner_spec, squared_bias=False)
+    return _integrated(dist, cfg, n, region, squared_bias=False)

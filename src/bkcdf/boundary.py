@@ -144,6 +144,8 @@ class BoundaryKernelFamily:
 
     def check_conditions(self, alphas, tol: float) -> list[ConditionCheck]:
         """Evaluate the strong (C1) and weak (C2) moment conditions."""
+        if not 0.0 < tol < np.inf:
+            raise ValueError(f"tolerance must satisfy 0 < tol < inf, got {tol!r}")
         out = []
         for alpha in np.asarray(alphas, dtype=float):
             mu0 = self.moment(0, alpha)

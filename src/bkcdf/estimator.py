@@ -1,11 +1,13 @@
-"""Kernel distribution function estimators: fit once, evaluate many.
+"""Kernel distribution function estimators: one grid, many samples.
 
-``FittedSample`` validates and sorts a sample once; ``evaluate`` gives
-several estimators at once on a ``Grid`` (points validated and split once)
-and shares the classical values on [a+h, b-h] and the strip sums between
-them.  ``evaluate_grid`` fits and evaluates one estimator, ``boundary_cdf``
-at one point.  A boundary family corrects the strips (a, a+h) and (b-h, b),
-pins the estimate to 0 and 1 outside [a, b], and is classical in between.
+A ``Grid`` validates and sorts its points and splits them into the two
+boundary strips and the middle once, for the a, b, h and base kernel it
+was built for; its ``evaluate`` validates and sorts one sample and gives
+several estimators at once, sharing the classical values on [a+h, b-h]
+and the strip sums between them.  ``evaluate_grid`` evaluates one
+estimator, ``boundary_cdf`` at one point.  A boundary family corrects the
+strips (a, a+h) and (b-h, b), pins the estimate to 0 and 1 outside
+[a, b], and is classical in between.
 
 Each cumulative kernel is constant outside a window and a polynomial in
 it, so on the sorted sample the estimate is a count below the window plus
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -106,9 +107,19 @@ def _interior(data: np.ndarray, base: BaseKernel, h: float, xs: np.ndarray) -> n
     return (below + window) / data.size
 
 
+def _strip(fam: BoundaryKernelFamily, near, sums, n: int, alpha: np.ndarray) -> np.ndarray:
+    """Left-strip estimate at the cut points alpha from one strip's sorted
+    y below 2 and their power sums, for a sample of size n."""
+    s, lo, _, w, norm = fam.shape(alpha)
+    count = np.searchsorted(near, alpha - lo)
+    window = _window_sum(fam.base, alpha / s, s, np.take(sums, count, 0))
+    return w * (window + count * fam.base.odd_part(-lo / s)) / norm / n
+
+
 class Grid:
-    """Sorted finite points, split once for the a, b and h of cfg into the
-    left strip, the middle [a + h, b - h] and the right strip."""
+    """Sorted finite points for the a, b, h and base kernel of cfg (its
+    family is not used), split once into the left strip, the middle
+    [a + h, b - h] and the right strip."""
 
     def __init__(self, points, cfg: EstimatorConfig):
         xs = self.xs = np.asarray(points, dtype=float)
@@ -118,54 +129,35 @@ class Grid:
             raise ValueError("grid points must be finite")
         if xs.size > 1 and np.any(np.diff(xs) < 0.0):
             raise ValueError("grid must be sorted")
-        a, b, h = self.split = cfg.a, cfg.b, cfg.h
+        self.cfg = cfg
+        a, b, h = cfg.a, cfg.b, cfg.h
         self.left, self.right = (xs > a) & (xs < a + h), (xs > b - h) & (xs < b)
         self.mid = (xs >= a + h) & (xs <= b - h)
 
-
-class FittedSample:
-    """A sample validated on [a, b] and sorted once (the family in cfg is
-    not used); its strip power sums depend only on the base kernel."""
-
-    def __init__(self, values, cfg: EstimatorConfig):
-        self.data = np.sort(_as_sample(values))
-        if self.data[0] < cfg.a or self.data[-1] > cfg.b:
-            raise ValueError("sample values must lie within [a, b]")
-        self.cfg = cfg
-
-    @cached_property
-    def _strips(self):
-        """Per strip, the sorted y below 2, where every window ends, and their
-        power sums: y = (X - a)/h, then the reflected (b - X)/h."""
-        cfg = self.cfg
-        ys = ((self.data - cfg.a) / cfg.h, (cfg.b - self.data[::-1]) / cfg.h)
-        near = [y[: np.searchsorted(y, 2.0)] for y in ys]
-        return [(y, _prefix_power_sums(y, cfg.base.odd.size - 1)) for y in near]
-
-    def _strip(self, fam: BoundaryKernelFamily, side: int, alpha: np.ndarray) -> np.ndarray:
-        """Left-strip estimate at the cut points alpha from one strip's sums."""
-        near, sums = self._strips[side]
-        s, lo, _, w, norm = fam.shape(alpha)
-        count = np.searchsorted(near, alpha - lo)
-        window = _window_sum(fam.base, alpha / s, s, np.take(sums, count, 0))
-        return w * (window + count * fam.base.odd_part(-lo / s)) / norm / self.data.size
-
-    def evaluate(self, families, grid: Grid) -> list[np.ndarray]:
-        """The estimate at grid.xs of each family in the sequence families
-        (None for classical), in order."""
+    def evaluate(self, values, families) -> list[np.ndarray]:
+        """The estimate at xs from the sample values (finite, inside [a, b])
+        of each family in the sequence families (None for classical), in
+        order."""
         a, b, h, base = self.cfg.a, self.cfg.b, self.cfg.h, self.cfg.base
-        if grid.split != (a, b, h) or any(f is not None and f.base != base for f in families):
-            raise ValueError("grid and families must match the fitted a, b, h and kernel")
-        xs, mid = grid.xs, grid.mid
+        data = np.sort(_as_sample(values))
+        if data[0] < a or data[-1] > b:
+            raise ValueError("sample values must lie within [a, b]")
+        if any(f is not None and f.base != base for f in families):
+            raise ValueError("families must use the grid's base kernel")
+        xs, left, mid, right = self.xs, self.left, self.mid, self.right
         inner = slice(None) if None in families else mid
         classical = np.zeros(xs.size)
-        classical[inner] = _interior(self.data, base, h, xs[inner])
+        classical[inner] = _interior(data, base, h, xs[inner])
         out = [classical if fam is None else np.where(xs < b, 0.0, 1.0) for fam in families]
+        if any(fam is not None for fam in families):
+            # y = (X - a)/h, then the reflected (b - X)/h; windows end below 2
+            ys = [y[: np.searchsorted(y, 2.0)] for y in ((data - a) / h, (b - data[::-1]) / h)]
+            strips = [(y, _prefix_power_sums(y, base.odd.size - 1)) for y in ys]
         for fam, est in zip(families, out):
             if fam is not None:  # pinned outside (a, b), classical between the strips
                 est[mid] = classical[mid]
-                est[grid.left] = self._strip(fam, 0, (xs[grid.left] - a) / h)
-                est[grid.right] = 1.0 - self._strip(fam, 1, (b - xs[grid.right]) / h)
+                est[left] = _strip(fam, *strips[0], data.size, (xs[left] - a) / h)
+                est[right] = 1.0 - _strip(fam, *strips[1], data.size, (b - xs[right]) / h)
         return out
 
 
@@ -185,7 +177,7 @@ def classical_cdf(values, base: BaseKernel, h: float, x):
 
 def evaluate_grid(values, cfg: EstimatorConfig, grid) -> np.ndarray:
     """The configured estimate on a sorted grid of finite points."""
-    return FittedSample(values, cfg).evaluate([cfg.family], Grid(grid, cfg))[0]
+    return Grid(grid, cfg).evaluate(values, [cfg.family])[0]
 
 
 def boundary_cdf(values, cfg: EstimatorConfig, x: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import mise_terms
 from .boundary import BoundaryKernelFamily
 from .distributions import replicate_rng
-from .estimator import EstimatorConfig, FittedSample, Grid
+from .estimator import EstimatorConfig, Grid
 from .kernels import BaseKernel
 
 PANELS_PER_UNIT = 4096
@@ -38,6 +38,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1 or self.reps < 1:
             raise ValueError("need n >= 1 and reps >= 1")
+        if len(self.families) == 0:
+            raise ValueError("families must not be empty")
+        if self.regions is not None and len(self.regions) == 0:
+            raise ValueError("regions must not be empty (None gives the default regions)")
         for fam in self.families:
             if fam not in FAMILY_CHOICES:
                 raise ValueError(f"unknown family {fam!r}; choose from {FAMILY_CHOICES}")
@@ -78,11 +82,11 @@ def resolve_bandwidth(cfg: SimConfig) -> float:
 
 def run_ise(cfg: SimConfig) -> SimResult:
     """Run the replicated ISE experiment described by cfg: one grid holds
-    every region's Simpson nodes, and each replicate is fitted once."""
+    every region's Simpson nodes, and each replicate is evaluated on it once."""
     a, b = cfg.dist.support
     h = resolve_bandwidth(cfg)
     est = EstimatorConfig(a, b, h, cfg.base)  # checks h before the default regions use it
-    regions = cfg.regions or ((a, a + h), (b - h, b), (a, b))
+    regions = ((a, a + h), (b - h, b), (a, b)) if cfg.regions is None else cfg.regions
     regions = tuple((float(lo), float(hi)) for lo, hi in regions)
     for lo, hi in regions:
         if not (a <= lo <= hi <= b):
@@ -96,7 +100,7 @@ def run_ise(cfg: SimConfig) -> SimResult:
     ise = np.zeros((cfg.reps, len(cfg.families), len(regions)))
     for r in range(cfg.reps):
         sample = cfg.dist.sample(replicate_rng(cfg.seed, r), cfg.n)
-        for j, fhat in enumerate(FittedSample(sample, est).evaluate(fams, grid)):
+        for j, fhat in enumerate(grid.evaluate(sample, fams)):
             for k, at, w, ref in cells:
                 ise[r, j, k] = float(w @ (fhat[at] - ref) ** 2)
 

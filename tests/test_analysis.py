@@ -66,7 +66,7 @@ def test_exact_mse_curve_matches_scalar_calls():
 
 def test_asymptotic_uniform_bias_zero():
     fam = BoundaryKernelFamily("k1", EPAN)
-    rec = asymptotic_pointwise(Uniform(), fam, EPAN, 0.1, 0.5, 50)
+    rec = asymptotic_pointwise(Uniform(), fam, 0.1, 0.5, 50)
     assert rec.bias == 0.0
     # n V = F(1-F) - h f nu
     expect = 0.05 * 0.95 - 0.1 * fam.nu_var_coeff(0.5)
@@ -76,8 +76,8 @@ def test_asymptotic_uniform_bias_zero():
 def test_asymptotic_bias_quadratic_in_h():
     dist = BetaMixture(0.5, 5.0)
     fam = BoundaryKernelFamily("k2", EPAN)
-    b1 = asymptotic_pointwise(dist, fam, EPAN, 0.2, 0.5, 50).bias
-    b2 = asymptotic_pointwise(dist, fam, EPAN, 0.1, 0.5, 50).bias
+    b1 = asymptotic_pointwise(dist, fam, 0.2, 0.5, 50).bias
+    b2 = asymptotic_pointwise(dist, fam, 0.1, 0.5, 50).bias
     # halving h quarters the leading bias, up to the change in F'' location
     assert b2 == pytest.approx(
         0.25 * b1 * dist.d2(0.05) / dist.d2(0.1), rel=1e-12

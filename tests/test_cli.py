@@ -209,6 +209,15 @@ def test_check_kernels(tmp_path):
     assert all(row[3] == "0" for row in rows)  # first condition fails for k3
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_check_kernels_rejects_bad_tolerance(tol, capsys):
+    # a NaN or non-positive tolerance would report every condition as failing
+    assert main(["check-kernels", "--family", "k1", "--points", "3", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0 < tol < inf" in captured.err
+
+
 def simulate_args(out, summary=None):
     args = [
         "simulate",

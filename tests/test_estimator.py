@@ -9,7 +9,6 @@ from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
 from bkcdf.distributions import BetaMixture, replicate_rng
 from bkcdf.estimator import (
     EstimatorConfig,
-    FittedSample,
     Grid,
     boundary_cdf,
     classical_cdf,
@@ -127,15 +126,13 @@ def test_non_finite_grid_point_rejected():
         boundary_cdf([0.3], cfg, np.nan)
 
 
-def test_fitted_sample_rejects_a_foreign_grid_or_kernel():
-    # strip sums and grid masks are built for one (a, b, h) and base kernel
+def test_grid_evaluate_rejects_a_foreign_kernel():
+    # the strip sums are built for the grid's base kernel
     cfg = make_cfg(None)
-    fit = FittedSample([0.1, 0.5], cfg)
-    assert fit.evaluate([None], Grid([0.5], cfg))[0].shape == (1,)
+    grid = Grid([0.1], cfg)
+    assert grid.evaluate([0.1, 0.5], [None])[0].shape == (1,)
     with pytest.raises(ValueError):
-        fit.evaluate([None], Grid([0.5], make_cfg(None, h=0.1)))
-    with pytest.raises(ValueError):
-        fit.evaluate([BoundaryKernelFamily("k1", BaseKernel("biweight"))], Grid([0.1], cfg))
+        grid.evaluate([0.1, 0.5], [BoundaryKernelFamily("k1", BaseKernel("biweight"))])
 
 
 def test_evaluate_grid_basics():
@@ -256,6 +253,47 @@ def test_evaluate_grid_matches_dense_mean(base, variant, problem):
     cfg = EstimatorConfig(a, b, h, base, fam)
     got = evaluate_grid(data, cfg, grid)
     assert np.abs(got - dense_estimate(data, cfg, grid)).max() <= 1e-12
+
+
+LATTICE = 2.0**-30
+
+
+@st.composite
+def lattice_problems(draw):
+    """problems() rounded to multiples of 2^-30, with points 2^-30 inside a
+    and b.  On this lattice the mirror and affine maps below are exact in
+    binary, so any gap they show is the estimator's own round-off."""
+    data, a, b, h, grid = draw(problems())
+    grid = np.sort(np.concatenate([grid, [a + LATTICE, b - LATTICE]]))
+    return np.round(data / LATTICE) * LATTICE, a, b, h, np.round(grid / LATTICE) * LATTICE
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=str)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+@PROPERTY
+@given(problem=lattice_problems())
+def test_mirror_symmetry(base, variant, problem):
+    # F_X(x) = 1 - F_{a+b-X}(a+b-x)
+    data, a, b, h, grid = problem
+    fam = None if variant is None else BoundaryKernelFamily(variant, base)
+    cfg = EstimatorConfig(a, b, h, base, fam)
+    mirrored = 1.0 - evaluate_grid((a + b) - data, cfg, (a + b) - grid[::-1])[::-1]
+    assert np.abs(evaluate_grid(data, cfg, grid) - mirrored).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=str)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+@PROPERTY
+@given(problem=lattice_problems(), shift=st.integers(-(2**33), 2**33), power=st.integers(-4, 4))
+def test_affine_invariance(base, variant, problem, shift, power):
+    # the same estimate after (X, x, a, b, h) -> c + s*(X, x, a, b, h) with
+    # c = shift * 2^-30 and s = 2^power: the block lattice moves with c
+    data, a, b, h, grid = problem
+    c, s = shift * LATTICE, 2.0**power
+    fam = None if variant is None else BoundaryKernelFamily(variant, base)
+    got = evaluate_grid(data, EstimatorConfig(a, b, h, base, fam), grid)
+    moved = EstimatorConfig(c + s * a, c + s * b, s * h, base, fam)
+    assert np.abs(got - evaluate_grid(c + s * data, moved, c + s * grid)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)

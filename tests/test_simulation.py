@@ -25,6 +25,13 @@ def test_config_validation():
         small_cfg(families=("k1", "k9"))
 
 
+@pytest.mark.parametrize("field", ["families", "regions"])
+def test_config_rejects_empty_field(field):
+    # an empty tuple is not None, which gives the default regions
+    with pytest.raises(ValueError, match=f"{field} must not be empty"):
+        small_cfg(**{field: ()})
+
+
 def test_result_shape_and_defaults():
     res = run_ise(small_cfg())
     assert res.ise.shape == (4, 4, 3)
