@@ -38,7 +38,6 @@ from .quadrature import (
     QuadSpec,
     QuadratureError,
     RootFindingError,
-    RootSpec,
     find_root,
     integrate,
 )

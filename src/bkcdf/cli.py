@@ -2,7 +2,7 @@
 
 Every subcommand emits CSV with a header row and full-precision floats,
 so downstream plotting can reproduce the figures without loss.  Exit
-codes: 0 success, 1 numerical failure, 2 flag or validation error.
+codes: 0 success, 1 numerical failure, 2 flag, validation or I/O error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows, header, out_path):
+def _emit(header, rows, out_path):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
@@ -82,10 +82,14 @@ def _resolve_dist(args, parser):
         parser.error(str(exc))
 
 
-def _add_kernel_flag(sub):
-    sub.add_argument(
-        "--kernel", default="epanechnikov", choices=KERNEL_NAMES, help="base kernel"
-    )
+def _count(text: str) -> int:
+    """argparse type of --points and --grid: an integer of at least 1."""
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _parse_families(text, parser, allow_classical=False):
@@ -103,12 +107,11 @@ def _alpha_grid(points: int) -> np.ndarray:
     return (np.arange(points) + 1.0) / (points + 1.0)
 
 
-def _cmd_estimate(args, parser):
+def _cmd_estimate(args, parser, base, dist):
     try:
         data = np.loadtxt(args.data, ndmin=1)
     except OSError as exc:
         parser.error(str(exc))
-    base = BaseKernel(args.kernel)
     family = None if args.family == "classical" else BoundaryKernelFamily(args.family, base)
     try:
         cfg = EstimatorConfig(args.a, args.b, args.h, base, family)
@@ -116,12 +119,10 @@ def _cmd_estimate(args, parser):
         parser.error(str(exc))
     grid = np.linspace(args.a, args.b, args.grid)
     values = evaluate_grid(data, cfg, grid)
-    _emit(zip(grid.tolist(), values.tolist()), ["x", "Fhat"], args.out)
-    return 0
+    return ["x", "Fhat"], zip(grid.tolist(), values.tolist())
 
 
-def _cmd_coeffs(args, parser):
-    base = BaseKernel(args.kernel)
+def _cmd_coeffs(args, parser, base, dist):
     fams = _parse_families(args.families, parser)
     alphas = _alpha_grid(args.points)
     rows = []
@@ -131,13 +132,10 @@ def _cmd_coeffs(args, parser):
             mu = fam.mu_bias_coeff(alpha)
             nu = fam.nu_var_coeff(alpha)
             rows.append((name, float(alpha), mu, mu * mu, nu, -nu))
-    _emit(rows, ["family", "alpha", "mu", "mu_sq", "nu", "neg_nu"], args.out)
-    return 0
+    return ["family", "alpha", "mu", "mu_sq", "nu", "neg_nu"], rows
 
 
-def _cmd_mse_curve(args, parser):
-    dist = _resolve_dist(args, parser)
-    base = BaseKernel(args.kernel)
+def _cmd_mse_curve(args, parser, base, dist):
     fams = _parse_families(args.families, parser)
     if args.h == "optimal":
         h = mise_terms(dist, base, args.n).h0
@@ -151,25 +149,15 @@ def _cmd_mse_curve(args, parser):
         cfg = EstimatorConfig(a, b, h, base, fam)
         for alpha, rec in zip(alphas, exact_mse_curve(dist, cfg, args.n, alphas)):
             rows.append((name, float(alpha), rec.x, rec.bias, rec.variance, rec.mse))
-    _emit(rows, ["family", "alpha", "x", "bias", "variance", "mse"], args.out)
-    return 0
+    return ["family", "alpha", "x", "bias", "variance", "mse"], rows
 
 
-def _cmd_bandwidth(args, parser):
-    dist = _resolve_dist(args, parser)
-    base = BaseKernel(args.kernel)
+def _cmd_bandwidth(args, parser, base, dist):
     terms = mise_terms(dist, base, args.n)
-    _emit(
-        [(terms.h0, terms.delta_k, dist.roughness())],
-        ["h0", "delta", "roughness"],
-        args.out,
-    )
-    return 0
+    return ["h0", "delta", "roughness"], [(terms.h0, terms.delta_k, dist.roughness())]
 
 
-def _cmd_mise(args, parser):
-    dist = _resolve_dist(args, parser)
-    base = BaseKernel(args.kernel)
+def _cmd_mise(args, parser, base, dist):
     fam = BoundaryKernelFamily(args.family, base)
     a, b = dist.support
     terms = mise_terms(dist, base, args.n)
@@ -179,13 +167,10 @@ def _cmd_mise(args, parser):
         exact = exact_mise(dist, cfg, args.n, (a, b))
         lead = terms.leading(h, args.n)
         rows.append((h, exact, lead, exact - lead))
-    _emit(rows, ["h", "exact_mise", "leading", "difference"], args.out)
-    return 0
+    return ["h", "exact_mise", "leading", "difference"], rows
 
 
-def _cmd_simulate(args, parser):
-    dist = _resolve_dist(args, parser)
-    base = BaseKernel(args.kernel)
+def _cmd_simulate(args, parser, base, dist):
     fams = _parse_families(args.families, parser, allow_classical=True)
     h = "optimal" if args.h == "optimal" else float(args.h)
     regions = None
@@ -212,36 +197,22 @@ def _cmd_simulate(args, parser):
     except ValueError as exc:
         parser.error(str(exc))
     res = run_ise(cfg)
+    if args.summary_out:
+        stats = ["min", "q1", "median", "q3", "max", "mean"]
+        srows = [
+            (row["family"], f"{row['region_lo']!r}:{row['region_hi']!r}", *(row[k] for k in stats))
+            for row in summarize(res)
+        ]
+        _emit(["family", "region", *stats], srows, args.summary_out)
     rows = []
     for r in range(res.reps):
         for j, fam in enumerate(res.families):
             for k, (lo, hi) in enumerate(res.regions):
                 rows.append((r, fam, f"{lo!r}:{hi!r}", res.ise[r, j, k]))
-    _emit(rows, ["replicate", "family", "region", "ise"], args.out)
-    if args.summary_out:
-        srows = [
-            (
-                row["family"],
-                f"{row['region_lo']!r}:{row['region_hi']!r}",
-                row["min"],
-                row["q1"],
-                row["median"],
-                row["q3"],
-                row["max"],
-                row["mean"],
-            )
-            for row in summarize(res)
-        ]
-        _emit(
-            srows,
-            ["family", "region", "min", "q1", "median", "q3", "max", "mean"],
-            args.summary_out,
-        )
-    return 0
+    return ["replicate", "family", "region", "ise"], rows
 
 
-def _cmd_check_kernels(args, parser):
-    base = BaseKernel(args.kernel)
+def _cmd_check_kernels(args, parser, base, dist):
     fam = BoundaryKernelFamily(args.family, base)
     alphas = _alpha_grid(args.points)
     rows = [
@@ -254,8 +225,7 @@ def _cmd_check_kernels(args, parser):
         )
         for rec in fam.check_conditions(alphas, args.tol)
     ]
-    _emit(rows, ["alpha", "c1_residual", "c2_residual", "c1_ok", "c2_ok"], args.out)
-    return 0
+    return ["alpha", "c1_residual", "c2_residual", "c1_ok", "c2_ok"], rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,37 +240,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
-    _add_kernel_flag(p)
     p.add_argument(
         "--family", default="classical", choices=("classical",) + FAMILY_NAMES
     )
-    p.add_argument("--grid", type=int, default=1001, help="number of grid points")
+    p.add_argument("--grid", type=_count, default=1001, help="number of grid points")
     p.set_defaults(func=_cmd_estimate)
 
     p = subs.add_parser("coeffs", help="boundary bias/variance coefficient curves")
-    _add_kernel_flag(p)
     p.add_argument("--families", default="k1,k2,k3")
-    p.add_argument("--points", type=int, default=99)
+    p.add_argument("--points", type=_count, default=99)
     p.set_defaults(func=_cmd_coeffs)
 
     p = subs.add_parser("mse-curve", help="exact pointwise MSE across the left strip")
     _add_dist_flags(p)
-    _add_kernel_flag(p)
     p.add_argument("--families", default="k1,k2,k3")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--h", default="optimal", help='bandwidth, or "optimal"')
-    p.add_argument("--points", type=int, default=99)
+    p.add_argument("--points", type=_count, default=99)
     p.set_defaults(func=_cmd_mse_curve)
 
     p = subs.add_parser("bandwidth", help="asymptotically optimal bandwidth")
     _add_dist_flags(p)
-    _add_kernel_flag(p)
     p.add_argument("--n", type=int, default=50)
     p.set_defaults(func=_cmd_bandwidth)
 
     p = subs.add_parser("mise", help="exact vs leading-term MISE over a bandwidth grid")
     _add_dist_flags(p)
-    _add_kernel_flag(p)
     p.add_argument("--family", default="k1", choices=FAMILY_NAMES)
     p.add_argument("--n", type=int, default=50)
     p.add_argument(
@@ -310,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="Monte Carlo ISE study")
     _add_dist_flags(p)
-    _add_kernel_flag(p)
     p.add_argument("--families", default="classical,k1,k2,k3")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--reps", type=int, default=500)
@@ -323,13 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("check-kernels", help="moment condition report")
-    _add_kernel_flag(p)
     p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--points", type=int, default=99)
+    p.add_argument("--points", type=_count, default=99)
     p.set_defaults(func=_cmd_check_kernels)
 
     for sub in subs.choices.values():
+        sub.add_argument(
+            "--kernel", default="epanechnikov", choices=KERNEL_NAMES, help="base kernel"
+        )
         sub.add_argument("--out", help="output CSV path (default: stdout)")
 
     return parser
@@ -339,7 +305,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        # only the subcommands that take distribution flags resolve one
+        dist = _resolve_dist(args, parser) if "uniform" in args else None
+        header, rows = args.func(args, parser, BaseKernel(args.kernel), dist)
+        _emit(header, rows, args.out)
+        return 0
     except (
         NoOptimalBandwidthError,
         DegenerateKernelError,
@@ -348,7 +318,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import RootSpec, find_root, integrate
+from .quadrature import find_root, integrate
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -144,10 +144,9 @@ class BetaMixture:
         u = rng.random(n)
         out = np.empty(n)
         out[choose_first] = 1.0 - np.sqrt(1.0 - u[choose_first])
-        spec = RootSpec(x_tol=1e-13)
         for i in np.flatnonzero(~choose_first):
             ui = u[i]
-            out[i] = find_root(lambda t: self._cdf_b2(t) - ui, 0.0, 1.0, spec)
+            out[i] = find_root(lambda t: self._cdf_b2(t) - ui, 0.0, 1.0)
         return out
 
 

@@ -56,6 +56,8 @@ class EstimatorConfig:
             raise ValueError("need finite a < b")
         if not 0.0 < self.h <= 0.5 * (self.b - self.a):
             raise ValueError("bandwidth must satisfy 0 < h <= (b - a)/2")
+        if self.family is not None and self.family.base != self.base:
+            raise ValueError("the family must use the configured base kernel")
 
 
 def _as_sample(values) -> np.ndarray:
@@ -137,7 +139,7 @@ class Grid:
     def evaluate(self, values, families) -> list[np.ndarray]:
         """The estimate at xs from the sample values (finite, inside [a, b])
         of each family in the sequence families (None for classical), in
-        order."""
+        order, each in an array of its own."""
         a, b, h, base = self.cfg.a, self.cfg.b, self.cfg.h, self.cfg.base
         data = np.sort(_as_sample(values))
         if data[0] < a or data[-1] > b:
@@ -148,7 +150,7 @@ class Grid:
         inner = slice(None) if None in families else mid
         classical = np.zeros(xs.size)
         classical[inner] = _interior(data, base, h, xs[inner])
-        out = [classical if fam is None else np.where(xs < b, 0.0, 1.0) for fam in families]
+        out = [classical.copy() if fam is None else np.where(xs < b, 0.0, 1.0) for fam in families]
         if any(fam is not None for fam in families):
             # y = (X - a)/h, then the reflected (b - X)/h; windows end below 2
             ys = [y[: np.searchsorted(y, 2.0)] for y in ((data - a) / h, (b - data[::-1]) / h)]

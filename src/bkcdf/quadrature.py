@@ -16,6 +16,11 @@ import numpy as np
 # at the known kinks.
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
+# find_root stops once the bracket is this narrow relative to max(1, |x|),
+# within the iteration budget
+_ROOT_X_TOL = 1e-13
+_ROOT_MAX_ITERS = 200
+
 
 class QuadratureError(RuntimeError):
     """Subdivision budget exhausted; carries the best estimate so far."""
@@ -41,18 +46,6 @@ class QuadSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-
-
-@dataclass(frozen=True)
-class RootSpec:
-    x_tol: float = 1e-12
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if self.x_tol <= 0.0:
-            raise ValueError("x_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -133,18 +126,12 @@ def integrate(
     return result
 
 
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    spec: RootSpec | None = None,
-) -> float:
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi] by bisection with secant acceleration.
 
     Requires a sign change over the bracket; the iterate never leaves
     [lo, hi].
     """
-    spec = spec or RootSpec()
     lo = float(lo)
     hi = float(hi)
     flo = float(f(lo))
@@ -156,8 +143,8 @@ def find_root(
     if flo * fhi > 0.0:
         raise RootFindingError("no sign change over the bracket")
 
-    for it in range(spec.max_iters):
-        if hi - lo <= spec.x_tol:
+    for it in range(_ROOT_MAX_ITERS):
+        if hi - lo <= _ROOT_X_TOL * max(1.0, abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
         x = 0.5 * (lo + hi)
         if it % 2 == 0 and fhi != flo:

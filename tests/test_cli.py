@@ -44,6 +44,35 @@ def test_unknown_flag():
     assert err.value.code == 2
 
 
+def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    assert main(["bandwidth", "--w", "0.5", "--b", "3", "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--points", "0"],
+        ["coeffs", "--points", "-1"],
+        ["check-kernels", "--family", "k1", "--points", "-2"],
+        ["mse-curve", "--w", "0.75", "--b", "5", "--points", "0"],
+        ["estimate", "--data", "x.txt", "--a", "0", "--b", "1", "--h", "0.2", "--grid", "0"],
+        ["estimate", "--data", "x.txt", "--a", "0", "--b", "1", "--h", "0.2", "--grid", "-3"],
+        ["coeffs", "--points", "many"],
+    ],
+)
+def test_counts_must_be_integers_of_at_least_one(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer >= 1" in captured.err
+
+
 def test_estimate(tmp_path):
     data = tmp_path / "data.txt"
     data.write_text("0.2\n0.5\n0.9\n")
@@ -256,6 +285,14 @@ def test_simulate_and_rerun_identical(tmp_path):
     sheader, srows = read_csv(summary)
     assert sheader == ["family", "region", "min", "q1", "median", "q3", "max", "mean"]
     assert len(srows) == 2 * 3
+
+
+def test_simulate_unwritable_summary_path(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(simulate_args(out, tmp_path / "no-such-dir" / "sum.csv")) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not out.exists()  # nothing is written once the run has failed
 
 
 def test_simulate_bad_region():

@@ -47,6 +47,12 @@ def test_config_rejects_non_finite(a, b, h):
         EstimatorConfig(a, b, h, EPAN)
 
 
+def test_config_rejects_a_family_over_another_kernel():
+    # exact_mise would mix a uniform interior with Epanechnikov strips
+    with pytest.raises(ValueError, match="base kernel"):
+        EstimatorConfig(0.0, 1.0, 0.2, BaseKernel("uniform"), BoundaryKernelFamily("k1", EPAN))
+
+
 def test_classical_values():
     assert classical_cdf([0.5], EPAN, 0.2, 0.5) == pytest.approx(0.5, abs=1e-15)
     assert classical_cdf([0.1, 0.4], EPAN, 0.1, 0.9) == 1.0
@@ -133,6 +139,14 @@ def test_grid_evaluate_rejects_a_foreign_kernel():
     assert grid.evaluate([0.1, 0.5], [None])[0].shape == (1,)
     with pytest.raises(ValueError):
         grid.evaluate([0.1, 0.5], [BoundaryKernelFamily("k1", BaseKernel("biweight"))])
+
+
+def test_grid_evaluate_returns_an_array_per_estimator():
+    first, second = Grid([0.1, 0.5, 0.9], make_cfg(None)).evaluate([0.2, 0.6], [None, None])
+    assert first is not second
+    expect = second.copy()
+    first[:] = -1.0
+    assert np.array_equal(second, expect)
 
 
 def test_evaluate_grid_basics():
