@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -109,7 +110,9 @@ def _alpha_grid(points: int) -> np.ndarray:
 
 def _cmd_estimate(args, parser, base, dist):
     try:
-        data = np.loadtxt(args.data, ndmin=1)
+        with warnings.catch_warnings():  # an empty file is rejected as an empty sample
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(args.data, ndmin=1)
     except OSError as exc:
         parser.error(str(exc))
     family = None if args.family == "classical" else BoundaryKernelFamily(args.family, base)

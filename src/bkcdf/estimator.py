@@ -1,13 +1,14 @@
 """Kernel distribution function estimators: one grid, many samples.
 
-A ``Grid`` validates and sorts its points and splits them into the two
-boundary strips and the middle once, for the a, b, h and base kernel it
-was built for; its ``evaluate`` validates and sorts one sample and gives
-several estimators at once, sharing the classical values on [a+h, b-h]
-and the strip sums between them.  ``evaluate_grid`` evaluates one
-estimator, ``boundary_cdf`` at one point.  A boundary family corrects the
-strips (a, a+h) and (b-h, b), pins the estimate to 0 and 1 outside
-[a, b], and is classical in between.
+A ``Grid`` is built once for sorted points, an a, b, h and base kernel
+and the estimators wanted: classical, or a family that corrects the
+strips (a, a+h) and (b-h, b), pins 0 and 1 outside [a, b] and is
+classical in between.  It does the work that depends on the points
+alone: the strip split, the interior blocks with their centres and Taylor
+rows, and each family's shape, window edges and Taylor rows per strip.
+``Grid.evaluate`` does the rest for each sample: sort, binary searches,
+prefix power sums, gathers and a Horner sum over the cached rows.
+``evaluate_grid`` gives one estimator and ``boundary_cdf`` one point.
 
 Each cumulative kernel is constant outside a window and a polynomial in
 it, so on the sorted sample the estimate is a count below the window plus
@@ -82,48 +83,71 @@ def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _window_sum(base: BaseKernel, t, s, sums: np.ndarray) -> np.ndarray:
-    """sum_k (-1)^k G^(k)(t)/k! * s^-k * sums[:, k], by Horner in 1/s."""
+def _horner(rows, s, sums: np.ndarray) -> np.ndarray:
+    """sum_k rows[k] * s^-k * sums[:, k], by Horner in 1/s."""
+    unit = np.ndim(s) == 0 and s == 1.0  # acc / 1.0 is acc to the bit
     acc = 0.0
-    for k in range(base.odd.size - 1, -1, -1):
-        acc = acc / s + P.polyval(t, base.taylor[k]) * sums[:, k]
+    for k in range(len(rows) - 1, -1, -1):
+        acc = (acc if unit else acc / s) + rows[k] * sums[:, k]
     return acc
 
 
-def _interior(data: np.ndarray, base: BaseKernel, h: float, xs: np.ndarray) -> np.ndarray:
-    """Classical estimate at the sorted points xs from the sorted data."""
-    j = np.floor(xs / h)
-    c = (j + 0.5) * h
-    starts = np.flatnonzero(np.diff(j, prepend=np.nan))
-    counts = np.diff(starts, append=xs.size)
-    first = np.repeat(np.searchsorted(data, c[starts] - 1.5 * h), counts)
-    stop = np.repeat(np.searchsorted(data, c[starts] + 1.5 * h, side="right"), counts)
-    # a window edge rounded past its block cuts off points where K is ~1 or ~0
-    below = np.clip(np.searchsorted(data, xs - h, side="right"), first, stop)
-    end = np.clip(np.searchsorted(data, xs + h), first, stop)
-    sums = np.zeros((xs.size, base.odd.size))
-    for i, e in zip(starts, [*starts[1:], xs.size]):
-        q = _prefix_power_sums((data[first[i] : stop[i]] - c[i]) / h, base.odd.size - 1)
-        sums[i:e] = np.take(q, end[i:e] - first[i], 0) - np.take(q, below[i:e] - first[i], 0)
-    window = 0.5 * (end - below) + _window_sum(base, (xs - c) / h, 1.0, sums)
-    return (below + window) / data.size
+class _Blocks:
+    """The classical estimate at the sorted points xs, called on a sorted sample."""
+
+    def __init__(self, base: BaseKernel, h: float, xs: np.ndarray):
+        j = np.floor(xs / h)
+        c = (j + 0.5) * h
+        starts = np.flatnonzero(np.diff(j, prepend=np.nan))
+        self.counts, self.h, self.xs = np.diff(starts, append=xs.size), h, xs
+        self.lo, self.hi = c[starts] - 1.5 * h, c[starts] + 1.5 * h
+        self.spans = list(zip(starts.tolist(), [*starts[1:].tolist(), xs.size], c[starts].tolist()))
+        self.rows = [P.polyval((xs - c) / h, row) for row in base.taylor]
+
+    def __call__(self, data: np.ndarray) -> np.ndarray:
+        first = np.repeat(np.searchsorted(data, self.lo), self.counts)
+        stop = np.repeat(np.searchsorted(data, self.hi, side="right"), self.counts)
+        # a window edge rounded past its block cuts off points where K is ~1 or ~0
+        below = np.clip(np.searchsorted(data, self.xs - self.h, side="right"), first, stop)
+        end = np.clip(np.searchsorted(data, self.xs + self.h), first, stop)
+        sums = np.zeros((end.size, len(self.rows)))
+        for i, e, c in self.spans:
+            q = _prefix_power_sums((data[first[i] : stop[i]] - c) / self.h, len(self.rows) - 1)
+            sums[i:e] = np.take(q, end[i:e] - first[i], 0) - np.take(q, below[i:e] - first[i], 0)
+        return (below + (0.5 * (end - below) + _horner(self.rows, 1.0, sums))) / data.size
 
 
-def _strip(fam: BoundaryKernelFamily, near, sums, n: int, alpha: np.ndarray) -> np.ndarray:
-    """Left-strip estimate at the cut points alpha from one strip's sorted
-    y below 2 and their power sums, for a sample of size n."""
-    s, lo, _, w, norm = fam.shape(alpha)
-    count = np.searchsorted(near, alpha - lo)
-    window = _window_sum(fam.base, alpha / s, s, np.take(sums, count, 0))
-    return w * (window + count * fam.base.odd_part(-lo / s)) / norm / n
+class _Strip:
+    """One family's left-strip estimate at the cut points alpha, called on
+    one strip's sorted y below 2, their power sums and the sample size."""
+
+    def __init__(self, fam: BoundaryKernelFamily, alpha: np.ndarray, taylor: dict):
+        s, lo, _, self.w, self.norm = fam.shape(alpha)
+        self.edge, self.g0 = alpha - lo, fam.base.odd_part(-lo / s)
+        t = alpha / s  # alpha for k1 and k3, which share their rows; exactly 1 for k2
+        t = t[:1] if np.all(t == t[:1]) else t
+        key = t.tobytes()
+        self.rows = taylor[key] = taylor.get(key) or [P.polyval(t, row) for row in fam.base.taylor]
+        # s^deg underflows (k2 near a): sum (y * 2^p)^k, divide by s * 2^p in [1/2, 1)
+        power = np.where(s < np.finfo(float).tiny ** (1 / (len(self.rows) - 1)), -np.frexp(s)[1], 0)
+        self.groups = [(p, np.flatnonzero(power == p)) for p in set(power[power != 0].tolist())]
+        self.s = np.ldexp(s, power) if self.groups else s
+
+    def __call__(self, near: np.ndarray, sums: np.ndarray, n: int) -> np.ndarray:
+        count = np.searchsorted(near, self.edge)
+        taken = np.take(sums, count, 0)
+        for p, at in self.groups:  # a window y < 2s holds y * 2^p < 2
+            y = np.ldexp(near[: count[at].max()], p)
+            taken[at] = np.take(_prefix_power_sums(y, len(self.rows) - 1), count[at], 0)
+        return self.w * (_horner(self.rows, self.s, taken) + count * self.g0) / self.norm / n
 
 
 class Grid:
-    """Sorted finite points for the a, b, h and base kernel of cfg (its
-    family is not used), split once into the left strip, the middle
-    [a + h, b - h] and the right strip."""
+    """Sorted finite points, the a, b, h and base kernel of cfg (not its
+    family) and the estimators in families (None for classical), with the
+    work that depends on the points alone done once."""
 
-    def __init__(self, points, cfg: EstimatorConfig):
+    def __init__(self, points, cfg: EstimatorConfig, families):
         xs = self.xs = np.asarray(points, dtype=float)
         if xs.ndim != 1:
             raise ValueError("grid must be one-dimensional")
@@ -131,35 +155,38 @@ class Grid:
             raise ValueError("grid points must be finite")
         if xs.size > 1 and np.any(np.diff(xs) < 0.0):
             raise ValueError("grid must be sorted")
-        self.cfg = cfg
+        self.cfg, self.families = cfg, list(families)
+        if any(f is not None and f.base != cfg.base for f in self.families):
+            raise ValueError("families must use the grid's base kernel")
         a, b, h = cfg.a, cfg.b, cfg.h
-        self.left, self.right = (xs > a) & (xs < a + h), (xs > b - h) & (xs < b)
+        left, right = self.left, self.right = (xs > a) & (xs < a + h), (xs > b - h) & (xs < b)
         self.mid = (xs >= a + h) & (xs <= b - h)
+        self.inner = slice(None) if None in self.families else self.mid
+        self.blocks, self.pinned = _Blocks(cfg.base, h, xs[self.inner]), np.where(xs < b, 0.0, 1.0)
+        alphas, taylor = ((xs[left] - a) / h, (b - xs[right]) / h), {}  # the right strip reflected
+        self.strips = [
+            None if f is None else [_Strip(f, x, taylor) for x in alphas] for f in self.families
+        ]
 
-    def evaluate(self, values, families) -> list[np.ndarray]:
+    def evaluate(self, values) -> list[np.ndarray]:
         """The estimate at xs from the sample values (finite, inside [a, b])
-        of each family in the sequence families (None for classical), in
-        order, each in an array of its own."""
-        a, b, h, base = self.cfg.a, self.cfg.b, self.cfg.h, self.cfg.base
+        of each of the grid's families, in order, each in an array of its own."""
+        a, b, h, mid = self.cfg.a, self.cfg.b, self.cfg.h, self.mid
         data = np.sort(_as_sample(values))
         if data[0] < a or data[-1] > b:
             raise ValueError("sample values must lie within [a, b]")
-        if any(f is not None and f.base != base for f in families):
-            raise ValueError("families must use the grid's base kernel")
-        xs, left, mid, right = self.xs, self.left, self.mid, self.right
-        inner = slice(None) if None in families else mid
-        classical = np.zeros(xs.size)
-        classical[inner] = _interior(data, base, h, xs[inner])
-        out = [classical.copy() if fam is None else np.where(xs < b, 0.0, 1.0) for fam in families]
-        if any(fam is not None for fam in families):
+        classical = np.zeros(self.xs.size)
+        classical[self.inner] = self.blocks(data)
+        out = [(classical if f is None else self.pinned).copy() for f in self.families]
+        if any(self.strips):
             # y = (X - a)/h, then the reflected (b - X)/h; windows end below 2
             ys = [y[: np.searchsorted(y, 2.0)] for y in ((data - a) / h, (b - data[::-1]) / h)]
-            strips = [(y, _prefix_power_sums(y, base.odd.size - 1)) for y in ys]
-        for fam, est in zip(families, out):
-            if fam is not None:  # pinned outside (a, b), classical between the strips
+            sums = [_prefix_power_sums(y, self.cfg.base.odd.size - 1) for y in ys]
+        for strips, est in zip(self.strips, out):
+            if strips:  # pinned outside (a, b), classical between the strips
                 est[mid] = classical[mid]
-                est[left] = _strip(fam, *strips[0], data.size, (xs[left] - a) / h)
-                est[right] = 1.0 - _strip(fam, *strips[1], data.size, (b - xs[right]) / h)
+                est[self.left] = strips[0](ys[0], sums[0], data.size)
+                est[self.right] = 1.0 - strips[1](ys[1], sums[1], data.size)
         return out
 
 
@@ -173,13 +200,13 @@ def classical_cdf(values, base: BaseKernel, h: float, x):
         raise ValueError("evaluation points must be finite")
     order = np.argsort(xs, axis=None)
     out = np.empty(xs.shape)
-    out.flat[order] = _interior(data, base, h, xs.flat[order])
+    out.flat[order] = _Blocks(base, h, xs.flat[order])(data)
     return out if out.ndim else float(out)
 
 
 def evaluate_grid(values, cfg: EstimatorConfig, grid) -> np.ndarray:
     """The configured estimate on a sorted grid of finite points."""
-    return Grid(grid, cfg).evaluate(values, [cfg.family])[0]
+    return Grid(grid, cfg, [cfg.family]).evaluate(values)[0]
 
 
 def boundary_cdf(values, cfg: EstimatorConfig, x: float) -> float:

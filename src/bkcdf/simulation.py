@@ -93,14 +93,14 @@ def run_ise(cfg: SimConfig) -> SimResult:
             raise ValueError("regions must be contained in the support")
 
     live = [(k, *_simpson_grid(lo, hi)) for k, (lo, hi) in enumerate(regions) if lo < hi]
-    grid = Grid(np.sort(np.concatenate([np.empty(0)] + [x for _, x, _ in live])), est)
-    cells = [(k, np.searchsorted(grid.xs, x), w, cfg.dist.cdf(x)) for k, x, w in live]
     fams = [None if f == "classical" else BoundaryKernelFamily(f, cfg.base) for f in cfg.families]
+    grid = Grid(np.sort(np.concatenate([np.empty(0)] + [x for _, x, _ in live])), est, fams)
+    cells = [(k, np.searchsorted(grid.xs, x), w, cfg.dist.cdf(x)) for k, x, w in live]
 
     ise = np.zeros((cfg.reps, len(cfg.families), len(regions)))
     for r in range(cfg.reps):
         sample = cfg.dist.sample(replicate_rng(cfg.seed, r), cfg.n)
-        for j, fhat in enumerate(grid.evaluate(sample, fams)):
+        for j, fhat in enumerate(grid.evaluate(sample)):
             for k, at, w, ref in cells:
                 ise[r, j, k] = float(w @ (fhat[at] - ref) ** 2)
 

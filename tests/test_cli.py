@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bkcdf
 from bkcdf.cli import main
 
 
@@ -121,6 +127,21 @@ def test_estimate_missing_file(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["estimate", "--data", str(tmp_path / "nope.txt"), "--a", "0", "--b", "1", "--h", "0.2"])
     assert err.value.code == 2
+
+
+def test_estimate_empty_file_reports_only_the_error(tmp_path):
+    # a fresh process, as pytest would record numpy's empty-file warning
+    # instead of printing it
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    env = {**os.environ, "PYTHONPATH": str(Path(bkcdf.__file__).resolve().parents[1])}
+    argv = ["estimate", "--data", str(empty), "--a", "0", "--b", "1", "--h", "0.2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bkcdf.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: sample must be a non-empty one-dimensional collection\n"
 
 
 def test_estimate_rejects_nan_data(tmp_path, capsys):

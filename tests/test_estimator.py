@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
+from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily, DegenerateKernelError
 from bkcdf.distributions import BetaMixture, replicate_rng
 from bkcdf.estimator import (
     EstimatorConfig,
@@ -135,18 +135,69 @@ def test_non_finite_grid_point_rejected():
 def test_grid_evaluate_rejects_a_foreign_kernel():
     # the strip sums are built for the grid's base kernel
     cfg = make_cfg(None)
-    grid = Grid([0.1], cfg)
-    assert grid.evaluate([0.1, 0.5], [None])[0].shape == (1,)
+    grid = Grid([0.1], cfg, [None])
+    assert grid.evaluate([0.1, 0.5])[0].shape == (1,)
     with pytest.raises(ValueError):
-        grid.evaluate([0.1, 0.5], [BoundaryKernelFamily("k1", BaseKernel("biweight"))])
+        Grid([0.1], cfg, [BoundaryKernelFamily("k1", BaseKernel("biweight"))])
 
 
 def test_grid_evaluate_returns_an_array_per_estimator():
-    first, second = Grid([0.1, 0.5, 0.9], make_cfg(None)).evaluate([0.2, 0.6], [None, None])
+    first, second = Grid([0.1, 0.5, 0.9], make_cfg(None), [None, None]).evaluate([0.2, 0.6])
     assert first is not second
     expect = second.copy()
     first[:] = -1.0
     assert np.array_equal(second, expect)
+
+
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_grid_holds_no_sample_state(base):
+    # samples A, B, A on one grid: each result equals a fresh evaluate_grid
+    # call on its own sample, so evaluate keeps nothing of a sample
+    fams = [None if v is None else BoundaryKernelFamily(v, base) for v in VARIANTS]
+    cfg = EstimatorConfig(0.0, 1.0, 0.2, base)
+    xs = np.concatenate([[0.0, 1e-46, 2e-46], np.linspace(0.001, 0.999, 301), [1.0]])
+    grid = Grid(xs, cfg, fams)
+    draws = [BetaMixture(0.5, 4.0).sample(replicate_rng(9, r), 50) for r in range(2)]
+    first, second, third = (grid.evaluate(d) for d in (draws[0], draws[1], draws[0]))
+    for fam, one, two, three in zip(fams, first, second, third):
+        assert np.array_equal(one, three)
+        assert not np.array_equal(one, two)
+        fresh = EstimatorConfig(0.0, 1.0, 0.2, base, fam)
+        assert np.array_equal(one, evaluate_grid(draws[0], fresh, xs))
+        assert np.array_equal(two, evaluate_grid(draws[1], fresh, xs))
+
+
+class _DegenerateK3Kernel(BaseKernel):
+    """Epanechnikov with P0 = 1 and P1 = 1, so the k3 normaliser
+    alpha*P0 - P1 is negative at every cut point in (0, 1)."""
+
+    def partial_moment(self, order, alpha):
+        return np.ones_like(np.asarray(alpha, dtype=float))
+
+
+def test_grid_rejects_a_degenerate_k3_cut_point_when_built():
+    k3 = BoundaryKernelFamily("k3", _DegenerateK3Kernel("epanechnikov"))
+    cfg = EstimatorConfig(0.0, 1.0, 0.2, EPAN, k3)
+    Grid([0.5], cfg, [k3])  # no cut point in a strip, nothing to reject
+    with pytest.raises(DegenerateKernelError):
+        Grid([0.1, 0.5], cfg, [k3])
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_tiny_cut_points_match_dense(base, variant):
+    # k2 divides the window sums by alpha^k: at x = 1e-46 with the triweight
+    # kernel y^7 underflowed and the error was 1.3e-8 (8.7 at smaller scales)
+    cfg = EstimatorConfig(0.0, 1.0, 0.2, base, BoundaryKernelFamily(variant, base))
+    data = [1e-46, 3e-46, 0.5]
+    grid = [0.0, 1e-200, 1e-46, 2e-46, 5e-46, 0.1, 1.0]
+    got = evaluate_grid(data, cfg, grid)
+    assert np.abs(got - dense_estimate(data, cfg, grid)).max() <= 1e-12
+    for k in range(20, 1011, 10):  # data and points at 2^-k h
+        x = 0.2 * 0.5**k
+        data, grid = [0.7 * x, x, 3 * x, 0.5], np.linspace(0.0, 3 * x, 13)
+        got = evaluate_grid(data, cfg, grid)
+        assert np.abs(got - dense_estimate(data, cfg, grid)).max() <= 1e-12
 
 
 def test_evaluate_grid_basics():
@@ -234,16 +285,19 @@ def dense_estimate(data, cfg, xs):
 @st.composite
 def problems(draw):
     """(data, a, b, h, grid): up to 2,000 data with ties and points exactly
-    at a, b and grid points +- h; a grid holding a, b, a + h and b - h, each
-    also +- 1e-12.  The offsets stay small: the oracle forms (x - X)/h
-    directly, which loses ulp(|x|)/h."""
+    at a, b and grid points +- h, and up to three more at a + 2^-k h; a grid
+    holding a, b, a + h and b - h, each also +- 1e-12, and those a + 2^-k h.
+    The offsets stay small: the oracle forms (x - X)/h directly, which
+    loses ulp(|x|)/h."""
     a = draw(st.sampled_from([0.0, -1.0, 2.5]))
     b = a + draw(st.sampled_from([1.0, 0.5, 8.0]))
     h = draw(st.floats(0.005, 0.5)) * (b - a)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     edges = np.array([a, b, a + h, b - h])
     inner = rng.uniform(a - h, b + h, draw(st.integers(0, 40)))
-    grid = np.concatenate([edges, edges - 1e-12, edges + 1e-12, inner])
+    # cut points and data near a at every scale, down to where y^deg underflows
+    near_a = a + h * 0.5 ** np.array(draw(st.lists(st.integers(1, 1000), max_size=3)), dtype=float)
+    grid = np.concatenate([edges, edges - 1e-12, edges + 1e-12, inner, near_a])
     n = draw(st.integers(1, 2000))
     shape = draw(st.sampled_from([0.3, 1.0, 3.0]))
     data = a + (b - a) * rng.beta(shape, 1.0, n)
@@ -253,6 +307,7 @@ def problems(draw):
     data[:k] = rng.choice(specials, k)  # data on the window edges
     ties = draw(st.integers(0, n - k))
     data[k : k + ties] = data[0]
+    data = np.concatenate([data, near_a])
     rng.shuffle(data)
     return data, a, b, h, np.sort(grid)
 
