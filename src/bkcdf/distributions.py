@@ -2,7 +2,12 @@
 
 Each distribution exposes ``cdf``, ``pdf``, ``d2`` (second derivative of
 the CDF), a ``support`` tuple, ``roughness`` (integral of d2 squared)
-and a ``sample`` method driven by a numpy Generator.
+and two samplers driven by numpy Generators.  ``sample_batch(rngs, n)``
+draws n variates from each generator into one row per generator: every
+generator gives its draws in the order a lone one would, and a beta
+mixture then inverts the B(2, b) draws of all rows in one lane-wise
+``find_root`` call, so a draw has the same bits whichever rows come with
+it.  ``sample(rng, n)`` is its one-generator case.
 """
 
 from __future__ import annotations
@@ -63,11 +68,14 @@ class Uniform:
     def roughness(self) -> float:
         return 0.0
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_batch(self, rngs, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("need n >= 1")
         a, b = self.support
-        return rng.uniform(a, b, n)
+        return np.array([rng.uniform(a, b, n) for rng in rngs]).reshape(-1, n)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.sample_batch([rng], n)[0]
 
 
 class BetaMixture:
@@ -94,10 +102,7 @@ class BetaMixture:
     def cdf(self, x):
         x, scalar = _arr(x)
         xc = np.clip(x, 0.0, 1.0)
-        b = self.shape_b
-        out = self.w * (2.0 * xc - xc**2) + (1.0 - self.w) * (
-            1.0 - _pow1m(xc, b) * (1.0 + b * xc)
-        )
+        out = self.w * (2.0 * xc - xc**2) + (1.0 - self.w) * self._cdf_b2(xc)
         out[x <= 0.0] = 0.0
         out[x >= 1.0] = 1.0
         return float(out[0]) if scalar else out
@@ -127,27 +132,24 @@ class BetaMixture:
     def roughness(self) -> float:
         return integrate(lambda x: self.d2(x) ** 2, 0.0, 1.0)
 
-    def _cdf_b2(self, t: float) -> float:
-        # CDF of the B(2, b) component alone
+    def _cdf_b2(self, t: np.ndarray) -> np.ndarray:
+        # CDF of the B(2, b) component alone on [0, 1]
         b = self.shape_b
-        if t <= 0.0:
-            return 0.0
-        if t >= 1.0:
-            return 1.0
-        return 1.0 - np.exp(b * np.log1p(-t)) * (1.0 + b * t)
+        return 1.0 - _pow1m(t, b) * (1.0 + b * t)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n variates: mixture choice, then per-component inversion."""
+    def sample_batch(self, rngs, n: int) -> np.ndarray:
+        """n variates per generator: mixture choice, then inversion of the
+        chosen component, the B(2, b) draws of all rows in one call."""
         if n < 1:
             raise ValueError("need n >= 1")
-        choose_first = rng.random(n) < self.w
-        u = rng.random(n)
-        out = np.empty(n)
-        out[choose_first] = 1.0 - np.sqrt(1.0 - u[choose_first])
-        for i in np.flatnonzero(~choose_first):
-            ui = u[i]
-            out[i] = find_root(lambda t: self._cdf_b2(t) - ui, 0.0, 1.0)
+        draws = np.array([(rng.random(n), rng.random(n)) for rng in rngs]).reshape(-1, 2, n)
+        choose_first, u = draws[:, 0] < self.w, draws[:, 1]
+        out = 1.0 - np.sqrt(1.0 - u)
+        out[~choose_first] = find_root(self._cdf_b2, 0.0, 1.0, u[~choose_first])
         return out
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.sample_batch([rng], n)[0]
 
 
 class Reflected:
@@ -183,9 +185,12 @@ class Reflected:
     def roughness(self) -> float:
         return self.inner.roughness()
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_batch(self, rngs, n: int) -> np.ndarray:
         a, b = self.support
-        return (a + b) - self.inner.sample(rng, n)
+        return (a + b) - self.inner.sample_batch(rngs, n)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.sample_batch([rng], n)[0]
 
 
 def solve_params(target_d1: float, target_d2: float) -> BetaMixture:

@@ -163,7 +163,12 @@ class Grid:
         self.mid = (xs >= a + h) & (xs <= b - h)
         self.inner = slice(None) if None in self.families else self.mid
         self.blocks, self.pinned = _Blocks(cfg.base, h, xs[self.inner]), np.where(xs < b, 0.0, 1.0)
-        alphas, taylor = ((xs[left] - a) / h, (b - xs[right]) / h), {}  # the right strip reflected
+        # the right strip reflected.  A strip point's alpha can round to 0 or
+        # 1; the estimate is within rounding of its limit at the smallest
+        # normal double (below it G(alpha) can round to 0) or the double below 1
+        inside = np.finfo(float).tiny, np.nextafter(1.0, 0.0)
+        alphas = (np.clip((xs[left] - a) / h, *inside), np.clip((b - xs[right]) / h, *inside))
+        taylor = {}
         self.strips = [
             None if f is None else [_Strip(f, x, taylor) for x in alphas] for f in self.families
         ]

@@ -126,37 +126,55 @@ def integrate(
     return result
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] by bisection with secant acceleration.
+def find_root(f: Callable, lo, hi, level=0.0):
+    """x in [lo, hi] with f(x) = level, by bisection with secant acceleration.
 
-    Requires a sign change over the bracket; the iterate never leaves
-    [lo, hi].
+    lo, hi and level broadcast to one shape of independent lanes; f maps
+    an array of points to their values elementwise.  Each lane takes the
+    steps a lone bracket takes, so its root has the same bits whichever
+    lanes come with it, and only lanes still open are passed to f.  A
+    scalar call is one lane and returns a float.  Every lane needs a sign
+    change of f - level over its bracket; the iterate never leaves it.
     """
-    lo = float(lo)
-    hi = float(hi)
-    flo = float(f(lo))
-    if flo == 0.0:
-        return lo
-    fhi = float(f(hi))
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    lo, hi, level = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, level))
+    shape = lo.shape
+    lo, hi, level = lo.ravel(), hi.ravel(), level.ravel()
+    root = np.empty(lo.size)
+    lane = np.arange(lo.size)
+
+    def settle(done, x):
+        # record the finished lanes' roots and drop them from the open set
+        nonlocal lane, lo, hi, flo, fhi, level
+        if not done.any():
+            return
+        root[lane[done]] = x[done]
+        keep = ~done
+        lane, lo, hi, flo, fhi, level = (v[keep] for v in (lane, lo, hi, flo, fhi, level))
+
+    flo, fhi = np.asarray(f(lo), dtype=float) - level, np.empty(lo.size)
+    settle(flo == 0.0, lo)
+    if lane.size:
+        fhi = np.asarray(f(hi), dtype=float) - level
+        settle(fhi == 0.0, hi)
+    if np.any(flo * fhi > 0.0):
         raise RootFindingError("no sign change over the bracket")
 
     for it in range(_ROOT_MAX_ITERS):
-        if hi - lo <= _ROOT_X_TOL * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
+        width = _ROOT_X_TOL * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
+        settle(hi - lo <= width, 0.5 * (lo + hi))
+        if lane.size == 0:
+            break
         x = 0.5 * (lo + hi)
-        if it % 2 == 0 and fhi != flo:
+        if it % 2 == 0:
             # secant step, kept only if it lands strictly inside the bracket
-            s = (lo * fhi - hi * flo) / (fhi - flo)
-            if lo < s < hi:
-                x = s
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-    raise RootFindingError("root finding did not converge")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (lo * fhi - hi * flo) / (fhi - flo)
+            x = np.where((fhi != flo) & (lo < s) & (s < hi), s, x)
+        fx = np.asarray(f(x), dtype=float) - level
+        lower = flo * fx < 0.0
+        hi, fhi = np.where(lower, x, hi), np.where(lower, fx, fhi)
+        lo, flo = np.where(lower, lo, x), np.where(lower, flo, fx)
+        settle(fx == 0.0, x)
+    if lane.size:
+        raise RootFindingError("root finding did not converge")
+    return float(root[0]) if shape == () else root.reshape(shape)

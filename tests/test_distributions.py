@@ -8,6 +8,7 @@ from bkcdf.distributions import (
     replicate_rng,
     solve_params,
 )
+from bkcdf.quadrature import find_root
 
 # target (density, curvature) pairs at the left endpoint used throughout
 TARGETS = [(d1, d2) for d1 in (0.0, 0.5, 1.0, 1.5) for d2 in (6.0, 30.0)]
@@ -126,3 +127,57 @@ def test_reflected():
     assert refl.roughness() == dist.roughness()
     x = refl.sample(replicate_rng(2, 0), 100)
     assert x.min() >= 0.0 and x.max() <= 1.0
+
+
+BATCH_DISTS = [
+    BetaMixture(0.75, 5.0),
+    BetaMixture(0.0, 2.0),
+    BetaMixture(1.0, 2.0),
+    BetaMixture(0.3, 2.0),
+    solve_params(1.5, 6.0),
+    solve_params(0.5, 30.0),
+    Uniform(),
+    Uniform(-2.0, 3.5),
+    Reflected(BetaMixture(0.4, 5.0)),
+    Reflected(Uniform(1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("dist", BATCH_DISTS, ids=repr)
+@pytest.mark.parametrize("n", [1, 7, 50])
+def test_batch_rows_equal_one_sample_per_generator(dist, n):
+    rows = dist.sample_batch([replicate_rng(3, r) for r in range(25)], n)
+    assert rows.shape == (25, n)
+    for r, row in enumerate(rows):
+        assert row.tobytes() == dist.sample(replicate_rng(3, r), n).tobytes()
+    assert dist.sample_batch([], n).shape == (0, n)
+
+
+def _one_draw_at_a_time(dist, rng, n):
+    # mixture choice, then one scalar inversion per B(2, b) draw
+    def cdf_b2(t, b=dist.shape_b):
+        if t <= 0.0:
+            return 0.0
+        if t >= 1.0:
+            return 1.0
+        return 1.0 - np.exp(b * np.log1p(-t)) * (1.0 + b * t)
+
+    choose_first = rng.random(n) < dist.w
+    u = rng.random(n)
+    out = 1.0 - np.sqrt(1.0 - u)
+    for i in np.flatnonzero(~choose_first):
+        out[i] = find_root(lambda t: cdf_b2(float(t[0])) - u[i], 0.0, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("dist", [d for d in BATCH_DISTS if isinstance(d, BetaMixture)], ids=repr)
+def test_batch_draws_equal_one_inversion_per_draw(dist):
+    rows = dist.sample_batch([replicate_rng(5, r) for r in range(40)], 50)
+    for r, row in enumerate(rows):
+        assert row.tobytes() == _one_draw_at_a_time(dist, replicate_rng(5, r), 50).tobytes()
+
+
+def test_batch_checks_n():
+    for dist in (BetaMixture(0.5, 3.0), Uniform(), Reflected(Uniform())):
+        with pytest.raises(ValueError):
+            dist.sample_batch([replicate_rng(0, 0)], 0)

@@ -447,3 +447,39 @@ def test_memory_is_linear_in_n_plus_m():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_strip_points_whose_cut_point_underflows(base, variant):
+    # (x - a)/h = 5e-324/2 rounds to 0 and (b - x)/h likewise at the right
+    # end; a strip point then once raised "alpha must lie strictly inside
+    # (0, 1)".  The estimate's limit as x -> a+ is the share of the data at
+    # a for k1 and k2, and 0 for k3, whose weight is alpha
+    fam = BoundaryKernelFamily(variant, base)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        cfg = EstimatorConfig(0.0, 8.0, 2.0, base, fam)
+        left = [evaluate_grid(d, cfg, [5e-324])[0] for d in ([0.0, 0.5, 1.0], [1e-300, 0.5, 1.0])]
+        cfg = EstimatorConfig(-8.0, 0.0, 2.0, base, fam)
+        right = evaluate_grid([0.0, -0.5, -1.0], cfg, [-5e-324])[0]
+    if variant == "k3":
+        assert 0.0 <= left[0] <= 1e-300 and 0.0 <= left[1] <= 1e-300 and right == 1.0
+    else:
+        assert left == [1.0 / 3.0, 0.0] and right == 1.0 - 1.0 / 3.0
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_strip_points_whose_cut_point_rounds_to_one(base, variant):
+    # with a = -0.3 and h = 0.1*3 the double below a + h has (x - a)/h = 1.0
+    # after rounding, and so has the double above b - h on the mirrored
+    # support; every family is classical in the limit alpha -> 1
+    fam = BoundaryKernelFamily(variant, base)
+    h = 0.1 * 3
+    for a, b, x, data in [
+        (-0.3, 0.7, np.nextafter(-0.3 + h, -np.inf), [-0.3, 0.0, 0.1, 0.5]),
+        (-0.7, 0.3, np.nextafter(0.3 - h, np.inf), [-0.5, -0.3, 0.0, 0.1]),
+    ]:
+        assert (a < x < a + h and (x - a) / h == 1.0) or (b - h < x < b and (b - x) / h == 1.0)
+        got = evaluate_grid(data, EstimatorConfig(a, b, h, base, fam), [x])[0]
+        assert abs(got - classical_cdf(data, base, h, x)) <= 1e-14

@@ -5,6 +5,7 @@ from bkcdf.boundary import BoundaryKernelFamily
 from bkcdf.distributions import BetaMixture, replicate_rng
 from bkcdf.estimator import EstimatorConfig, evaluate_grid
 from bkcdf.kernels import KERNEL_NAMES, BaseKernel
+from bkcdf import simulation
 from bkcdf.simulation import PANELS_PER_UNIT, SimConfig, SimResult, run_ise, summarize
 
 DIST = BetaMixture(0.5, 4.0)
@@ -56,6 +57,18 @@ def test_replicates_are_a_prefix():
     long = run_ise(small_cfg(reps=6))
     short = run_ise(small_cfg(reps=3))
     assert np.array_equal(long.ise[:3], short.ise)
+
+
+@pytest.mark.parametrize("chunk", [1, 20, 50, 60])
+def test_chunks_of_replicates_change_no_bit(monkeypatch, chunk):
+    # the samples are drawn a chunk of replicates at a time: 1, 1, 2 and 3
+    # replicates of n = 20 here, so chunk edges fall inside both runs
+    whole = run_ise(small_cfg(reps=7))
+    monkeypatch.setattr(simulation, "SAMPLE_CHUNK", chunk)
+    long = run_ise(small_cfg(reps=7))
+    short = run_ise(small_cfg(reps=4))
+    assert np.array_equal(long.ise, whole.ise)
+    assert np.array_equal(long.ise[:4], short.ise)
 
 
 def test_empty_region_is_zero():
