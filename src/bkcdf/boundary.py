@@ -1,4 +1,4 @@
-"""Left and right boundary kernel families over a base kernel.
+"""Boundary kernel families over a base kernel.
 
 The three families k1, k2 and k3 are members of one enlarged class of
 boundary kernels: the left kernel at the cut point alpha in (0, 1) is the
@@ -26,10 +26,6 @@ and the moments follow in closed form:
 
 Through G nothing cancels as alpha -> 0: 2*Kbar(alpha) - 1 rounds to 0
 for alpha below about 1e-16, where 2*G(alpha) keeps full relative accuracy.
-
-Right versions are obtained by reflection: the right density at u is the
-left density at -u, and the right cumulative is 1 minus the left
-cumulative at -u.
 """
 
 from __future__ import annotations
@@ -101,14 +97,6 @@ class BoundaryKernelFamily:
         s, lo, hi, w, norm = self.shape(alpha)
         t = np.clip(np.asarray(u, dtype=float) / s, lo / s, hi / s)
         out = w * (self.base.odd_part(t) + self.base.odd_part(-lo / s)) / norm
-        return out if np.ndim(out) else float(out)
-
-    def right_density(self, u, alpha):
-        return self.left_density(np.negative(u), alpha)
-
-    def right_antiderivative(self, u, alpha):
-        """Cumulative right kernel, normalised to reach 1 above the support."""
-        out = 1.0 - self.left_antiderivative(np.negative(u), alpha)
         return out if np.ndim(out) else float(out)
 
     def moment(self, order: int, alpha):

@@ -2,7 +2,10 @@
 
 Every subcommand emits CSV with a header row and full-precision floats,
 so downstream plotting can reproduce the figures without loss.  Exit
-codes: 0 success, 1 numerical failure, 2 flag, validation or I/O error.
+codes: 0 success, 1 numerical failure, 2 rejected input.  A flag that
+argparse itself rejects prints argparse's usage and error lines; any
+other rejected input (a validation or I/O error) raises ValueError or
+OSError, which ``main`` reports as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -61,26 +64,23 @@ def _add_dist_flags(sub):
     )
 
 
-def _resolve_dist(args, parser):
+def _resolve_dist(args):
     by_params = args.w is not None or args.b is not None
     by_targets = args.d1 is not None or args.d2 is not None
     if sum([by_params, by_targets, args.uniform]) != 1:
-        parser.error(
+        raise ValueError(
             "specify the distribution exactly one way: (--w, --b), "
             "(--d1-at-0, --d2-at-0), or --uniform"
         )
-    try:
-        if args.uniform:
-            return Uniform()
-        if by_params:
-            if args.w is None or args.b is None:
-                parser.error("--w and --b must be given together")
-            return BetaMixture(args.w, args.b)
-        if args.d1 is None or args.d2 is None:
-            parser.error("--d1-at-0 and --d2-at-0 must be given together")
-        return solve_params(args.d1, args.d2)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.uniform:
+        return Uniform()
+    if by_params:
+        if args.w is None or args.b is None:
+            raise ValueError("--w and --b must be given together")
+        return BetaMixture(args.w, args.b)
+    if args.d1 is None or args.d2 is None:
+        raise ValueError("--d1-at-0 and --d2-at-0 must be given together")
+    return solve_params(args.d1, args.d2)
 
 
 def _count(text: str) -> int:
@@ -93,14 +93,14 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
-def _parse_families(text, parser, allow_classical=False):
+def _parse_families(text, allow_classical=False):
     choices = FAMILY_CHOICES if allow_classical else FAMILY_NAMES
     fams = tuple(t.strip() for t in text.split(",") if t.strip())
     for fam in fams:
         if fam not in choices:
-            parser.error(f"unknown family {fam!r}; choose from {choices}")
+            raise ValueError(f"unknown family {fam!r}; choose from {choices}")
     if not fams:
-        parser.error("at least one family is required")
+        raise ValueError("at least one family is required")
     return fams
 
 
@@ -108,25 +108,19 @@ def _alpha_grid(points: int) -> np.ndarray:
     return (np.arange(points) + 1.0) / (points + 1.0)
 
 
-def _cmd_estimate(args, parser, base, dist):
-    try:
-        with warnings.catch_warnings():  # an empty file is rejected as an empty sample
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(args.data, ndmin=1)
-    except OSError as exc:
-        parser.error(str(exc))
+def _cmd_estimate(args, base, dist):
+    with warnings.catch_warnings():  # an empty file is rejected as an empty sample
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(args.data, ndmin=1)
     family = None if args.family == "classical" else BoundaryKernelFamily(args.family, base)
-    try:
-        cfg = EstimatorConfig(args.a, args.b, args.h, base, family)
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = EstimatorConfig(args.a, args.b, args.h, base, family)
     grid = np.linspace(args.a, args.b, args.grid)
     values = evaluate_grid(data, cfg, grid)
     return ["x", "Fhat"], zip(grid.tolist(), values.tolist())
 
 
-def _cmd_coeffs(args, parser, base, dist):
-    fams = _parse_families(args.families, parser)
+def _cmd_coeffs(args, base, dist):
+    fams = _parse_families(args.families)
     alphas = _alpha_grid(args.points)
     rows = []
     for name in fams:
@@ -138,8 +132,8 @@ def _cmd_coeffs(args, parser, base, dist):
     return ["family", "alpha", "mu", "mu_sq", "nu", "neg_nu"], rows
 
 
-def _cmd_mse_curve(args, parser, base, dist):
-    fams = _parse_families(args.families, parser)
+def _cmd_mse_curve(args, base, dist):
+    fams = _parse_families(args.families)
     if args.h == "optimal":
         h = mise_terms(dist, base, args.n).h0
     else:
@@ -155,12 +149,12 @@ def _cmd_mse_curve(args, parser, base, dist):
     return ["family", "alpha", "x", "bias", "variance", "mse"], rows
 
 
-def _cmd_bandwidth(args, parser, base, dist):
+def _cmd_bandwidth(args, base, dist):
     terms = mise_terms(dist, base, args.n)
     return ["h0", "delta", "roughness"], [(terms.h0, terms.delta_k, dist.roughness())]
 
 
-def _cmd_mise(args, parser, base, dist):
+def _cmd_mise(args, base, dist):
     fam = BoundaryKernelFamily(args.family, base)
     a, b = dist.support
     terms = mise_terms(dist, base, args.n)
@@ -173,8 +167,8 @@ def _cmd_mise(args, parser, base, dist):
     return ["h", "exact_mise", "leading", "difference"], rows
 
 
-def _cmd_simulate(args, parser, base, dist):
-    fams = _parse_families(args.families, parser, allow_classical=True)
+def _cmd_simulate(args, base, dist):
+    fams = _parse_families(args.families, allow_classical=True)
     h = "optimal" if args.h == "optimal" else float(args.h)
     regions = None
     if args.region:
@@ -183,22 +177,19 @@ def _cmd_simulate(args, parser, base, dist):
             try:
                 lo, hi = (float(t) for t in text.split(":"))
             except ValueError:
-                parser.error(f"bad region {text!r}; expected lo:hi")
+                raise ValueError(f"bad region {text!r}; expected lo:hi") from None
             regions.append((lo, hi))
         regions = tuple(regions)
-    try:
-        cfg = SimConfig(
-            dist=dist,
-            n=args.n,
-            reps=args.reps,
-            seed=args.seed,
-            base=base,
-            families=fams,
-            h=h,
-            regions=regions,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = SimConfig(
+        dist=dist,
+        n=args.n,
+        reps=args.reps,
+        seed=args.seed,
+        base=base,
+        families=fams,
+        h=h,
+        regions=regions,
+    )
     res = run_ise(cfg)
     if args.summary_out:
         stats = ["min", "q1", "median", "q3", "max", "mean"]
@@ -215,7 +206,7 @@ def _cmd_simulate(args, parser, base, dist):
     return ["replicate", "family", "region", "ise"], rows
 
 
-def _cmd_check_kernels(args, parser, base, dist):
+def _cmd_check_kernels(args, base, dist):
     fam = BoundaryKernelFamily(args.family, base)
     alphas = _alpha_grid(args.points)
     rows = [
@@ -305,12 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # only the subcommands that take distribution flags resolve one
-        dist = _resolve_dist(args, parser) if "uniform" in args else None
-        header, rows = args.func(args, parser, BaseKernel(args.kernel), dist)
+        dist = _resolve_dist(args) if "uniform" in args else None
+        header, rows = args.func(args, BaseKernel(args.kernel), dist)
         _emit(header, rows, args.out)
         return 0
     except (

@@ -41,8 +41,8 @@ class Uniform:
     """Uniform distribution on [a, b]."""
 
     def __init__(self, a: float = 0.0, b: float = 1.0):
-        if not a < b:
-            raise ValueError("need a < b")
+        if not -np.inf < a < b < np.inf:
+            raise ValueError("need finite a < b")
         self.support = (float(a), float(b))
 
     def __repr__(self) -> str:
@@ -91,6 +91,8 @@ class BetaMixture:
     def __init__(self, w: float, shape_b: float):
         if not 0.0 <= w <= 1.0:
             raise ValueError("weight w must lie in [0, 1]")
+        if not np.isfinite(shape_b):
+            raise ValueError("shape parameter must be finite")
         if shape_b < 2.0:
             raise ValueError("shape parameter must be >= 2")
         self.w = float(w)
@@ -202,6 +204,8 @@ def solve_params(target_d1: float, target_d2: float) -> BetaMixture:
     """
     if not 0.0 <= target_d1 < 2.0:
         raise ValueError("target density at 0 must lie in [0, 2)")
+    if not np.isfinite(target_d2):
+        raise ValueError("target second derivative at 0 must be finite")
     if target_d2 <= 0.0:
         raise ValueError("target second derivative at 0 must be positive")
     w = target_d1 / 2.0

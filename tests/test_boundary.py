@@ -40,23 +40,6 @@ def test_left_antiderivative_values():
     assert fam("k3").left_antiderivative(1.0, 0.5) == pytest.approx(0.8, abs=1e-14)
 
 
-def test_right_density_is_reflection():
-    grid = np.linspace(-1.2, 1.2, 241)
-    for variant in FAMILY_NAMES:
-        f = fam(variant)
-        for alpha in (0.2, 0.5, 0.8):
-            assert np.array_equal(
-                f.right_density(grid, alpha), f.left_density(-grid, alpha)
-            )
-
-
-def test_right_antiderivative_values():
-    assert fam("k2").right_density(-0.5, 0.5) == 0.0
-    for variant in FAMILY_NAMES:
-        assert fam(variant).right_antiderivative(1.0, 0.3) == pytest.approx(1.0, abs=1e-14)
-    assert fam("k3").right_antiderivative(-1.0, 0.5) == pytest.approx(0.2, abs=1e-14)
-
-
 def test_moment_values():
     for alpha in (0.1, 0.5, 0.9):
         assert fam("k1").moment(0, alpha) == pytest.approx(1.0, abs=1e-13)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,21 +34,107 @@ def test_bandwidth_uniform_fails_numerically(capsys):
 
 
 def test_distribution_flags_mutually_exclusive():
-    with pytest.raises(SystemExit) as err:
-        main(["bandwidth", "--w", "0.5", "--b", "3", "--uniform"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["bandwidth"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["bandwidth", "--w", "0.5"])  # missing --b
-    assert err.value.code == 2
+    assert main(["bandwidth", "--w", "0.5", "--b", "3", "--uniform"]) == 2
+    assert main(["bandwidth"]) == 2
+    assert main(["bandwidth", "--w", "0.5"]) == 2  # missing --b
 
 
 def test_unknown_flag():
     with pytest.raises(SystemExit) as err:
         main(["bandwidth", "--uniform", "--frobnicate"])
     assert err.value.code == 2
+
+
+ONE_WAY = (
+    "specify the distribution exactly one way: (--w, --b), (--d1-at-0, --d2-at-0), or --uniform"
+)
+SIM = ["simulate", "--uniform", "--h", "0.2"]
+EST = ["estimate", "--data", "{tmp}/data.txt"]  # a two-point sample
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bandwidth", "--w", "0.5", "--b", "3", "--uniform"], ONE_WAY),
+        (["bandwidth", "--w", "0.5", "--d1-at-0", "1"], ONE_WAY),
+        (["bandwidth"], ONE_WAY),
+        (["bandwidth", "--w", "0.5"], "--w and --b must be given together"),
+        (["bandwidth", "--b", "3"], "--w and --b must be given together"),
+        (["bandwidth", "--d1-at-0", "1"], "--d1-at-0 and --d2-at-0 must be given together"),
+        (["bandwidth", "--d2-at-0", "6"], "--d1-at-0 and --d2-at-0 must be given together"),
+        (["bandwidth", "--w", "1.5", "--b", "3"], "weight w must lie in [0, 1]"),
+        (["bandwidth", "--w", "0.5", "--b", "1"], "shape parameter must be >= 2"),
+        (
+            ["bandwidth", "--d1-at-0", "3", "--d2-at-0", "6"],
+            "target density at 0 must lie in [0, 2)",
+        ),
+        (
+            ["bandwidth", "--d1-at-0", "1", "--d2-at-0", "-1"],
+            "target second derivative at 0 must be positive",
+        ),
+        (["coeffs", "--families", "k9"], "unknown family 'k9'; choose from ('k1', 'k2', 'k3')"),
+        (["coeffs", "--families", ""], "at least one family is required"),
+        (["coeffs", "--families", " , "], "at least one family is required"),
+        (
+            ["mse-curve", "--uniform", "--families", "classical"],
+            "unknown family 'classical'; choose from ('k1', 'k2', 'k3')",
+        ),
+        (
+            SIM + ["--families", "k4"],
+            "unknown family 'k4'; choose from ('classical', 'k1', 'k2', 'k3')",
+        ),
+        (SIM + ["--region", "oops"], "bad region 'oops'; expected lo:hi"),
+        (SIM + ["--region", "0:1:2"], "bad region '0:1:2'; expected lo:hi"),
+        (
+            ["estimate", "--data", "{tmp}/nope.txt", "--a", "0", "--b", "1", "--h", "0.2"],
+            "{tmp}/nope.txt not found.",
+        ),
+        (EST + ["--a=-inf", "--b=1", "--h=0.2"], "need finite a < b"),
+        (EST + ["--a=0", "--b=inf", "--h=0.2"], "need finite a < b"),
+        (
+            EST + ["--a=0", "--b=1", "--h=nan", "--family", "k1"],
+            "bandwidth must satisfy 0 < h <= (b - a)/2",
+        ),
+        (SIM + ["--reps", "0"], "need n >= 1 and reps >= 1"),
+    ],
+)
+def test_rejected_input_prints_one_error_line(tmp_path, capsys, argv, message):
+    (tmp_path / "data.txt").write_text("0.2\n0.5\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.replace("{tmp}", str(tmp_path)) + "\n"
+
+
+def test_argparse_flag_error_prints_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["mise", "--uniform", "--family", "k9", "--h", "0.1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: bkcdf mise ")
+    assert "bkcdf mise: error: argument --family: invalid choice: 'k9'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["bandwidth", "mse-curve", "simulate"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--w", "0.5", "--b", "inf"], "shape parameter must be finite"),
+        (["--w", "0.5", "--b", "nan"], "shape parameter must be finite"),
+        (["--d1-at-0", "1", "--d2-at-0", "inf"], "target second derivative at 0 must be finite"),
+        (["--d1-at-0", "1", "--d2-at-0", "nan"], "target second derivative at 0 must be finite"),
+    ],
+)
+def test_non_finite_distribution_is_rejected_input(capsys, command, flags, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, *flags]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_unwritable_out_path_is_an_io_error(tmp_path, capsys):
@@ -124,9 +211,8 @@ def test_estimate_classical_stdout(tmp_path, capsys):
 
 
 def test_estimate_missing_file(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        main(["estimate", "--data", str(tmp_path / "nope.txt"), "--a", "0", "--b", "1", "--h", "0.2"])
-    assert err.value.code == 2
+    argv = ["estimate", "--data", str(tmp_path / "nope.txt"), "--a", "0", "--b", "1", "--h", "0.2"]
+    assert main(argv) == 2
 
 
 def test_estimate_empty_file_reports_only_the_error(tmp_path):
@@ -167,9 +253,7 @@ def test_estimate_rejects_non_finite_config(tmp_path, capsys, a, b, h, reason):
     data.write_text("0.2\n0.5\n")
     # the --flag=value form lets argparse take "-inf" as a value
     argv = ["estimate", "--data", str(data), f"--a={a}", f"--b={b}", f"--h={h}"]
-    with pytest.raises(SystemExit) as err:
-        main(argv + ["--family", "k1"])
-    assert err.value.code == 2
+    assert main(argv + ["--family", "k1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert reason in captured.err
@@ -317,9 +401,7 @@ def test_simulate_unwritable_summary_path(tmp_path, capsys):
 
 
 def test_simulate_bad_region():
-    with pytest.raises(SystemExit) as err:
-        main(["simulate", "--uniform", "--h", "0.2", "--region", "oops"])
-    assert err.value.code == 2
+    assert main(["simulate", "--uniform", "--h", "0.2", "--region", "oops"]) == 2
 
 
 @pytest.mark.parametrize("flags", [["--h", "nan"], ["--h", "-1"], ["--n", "1"]])

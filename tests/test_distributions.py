@@ -23,6 +23,25 @@ def test_constructor_validation():
         Uniform(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (BetaMixture, (0.5, np.inf)),
+        (BetaMixture, (0.5, np.nan)),
+        (BetaMixture, (np.nan, 3.0)),
+        (solve_params, (1.0, np.inf)),
+        (solve_params, (1.0, np.nan)),
+        (solve_params, (np.nan, 6.0)),
+        (Uniform, (-np.inf, 1.0)),
+        (Uniform, (0.0, np.inf)),
+        (Uniform, (np.nan, 1.0)),
+    ],
+)
+def test_non_finite_parameters_rejected(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
+
+
 def test_cdf_values():
     assert BetaMixture(0.0, 2.0).cdf(0.5) == pytest.approx(0.5, abs=1e-15)
     assert BetaMixture(1.0, 2.0).cdf(0.5) == pytest.approx(0.75, abs=1e-15)

@@ -276,7 +276,7 @@ def dense_estimate(data, cfg, xs):
     alpha = ((xs[left] - a) / h)[:, None]
     out[left] = fam.left_antiderivative(u[left], alpha).mean(axis=1)
     alpha = ((b - xs[right]) / h)[:, None]
-    out[right] = fam.right_antiderivative(u[right], alpha).mean(axis=1)
+    out[right] = (1.0 - fam.left_antiderivative(-u[right], alpha)).mean(axis=1)
     out[xs <= a] = 0.0
     out[xs >= b] = 1.0
     return out

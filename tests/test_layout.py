@@ -16,3 +16,22 @@ def test_no_module_imports_another_modules_private_names():
             if ours:
                 found += [f"{path.name}: {n.name}" for n in node.names if n.name[0] == "_"]
     assert SOURCES and found == []
+
+
+def test_only_build_parser_and_main_touch_the_parser_in_cli():
+    # every other rejected input raises, and main reports it as one error line
+    path = SOURCES[0].parent / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.FunctionDef) or node.name in ("build_parser", "main"):
+            continue
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        found += [f"{node.name}: parser parameter" for p in params if p.arg == "parser"]
+        found += [
+            f"{node.name}: .error() call"
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "error"
+        ]
+    assert found == []
