@@ -3,9 +3,9 @@
 Every subcommand emits CSV with a header row and full-precision floats,
 so downstream plotting can reproduce the figures without loss.  Exit
 codes: 0 success, 1 numerical failure, 2 rejected input.  A flag that
-argparse itself rejects prints argparse's usage and error lines; any
-other rejected input (a validation or I/O error) raises ValueError or
-OSError, which ``main`` reports as one ``error:`` line.
+argparse itself rejects prints the subcommand's usage and an error line;
+any other rejected input (a validation or I/O error) raises ValueError
+or OSError, which ``main`` reports as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -291,12 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--kernel", default="epanechnikov", choices=KERNEL_NAMES, help="base kernel"
         )
         sub.add_argument("--out", help="output CSV path (default: stdout)")
+        sub.set_defaults(parser=sub)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # with the subcommand's usage, not the top-level one
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         # only the subcommands that take distribution flags resolve one
         dist = _resolve_dist(args) if "uniform" in args else None

@@ -1,20 +1,20 @@
-"""Test distributions: beta mixtures w*B(1,2) + (1-w)*B(2,b) and the uniform.
-
-Each distribution exposes ``cdf``, ``pdf``, ``d2`` (second derivative of
-the CDF), a ``support`` tuple, ``roughness`` (integral of d2 squared)
-and two samplers driven by numpy Generators.  ``sample_batch(rngs, n)``
-draws n variates from each generator into one row per generator: every
-generator gives its draws in the order a lone one would, and a beta
-mixture then inverts the B(2, b) draws of all rows in one lane-wise
-``find_root`` call, so a draw has the same bits whichever rows come with
-it.  ``sample(rng, n)`` is its one-generator case.
+"""Test distributions: beta mixtures w*B(1,2) + (1-w)*B(2,b) and the uniform,
+with ``cdf``, ``pdf``, ``d2`` (second derivative of the CDF), a ``support``
+tuple, ``roughness`` (integral of d2 squared, in closed form) and two
+samplers driven by numpy Generators; ``Reflected`` is the CDF alone of a
+reflected distribution.  ``sample_batch(rngs, n)`` draws n variates from
+each generator into one row per generator: every generator gives its
+draws in the order a lone one would, and a beta mixture then inverts the
+B(2, b) draws of all rows in one lane-wise ``find_root`` call, so a draw
+has the same bits whichever rows come with it.  ``sample(rng, n)`` is its
+one-generator case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import find_root, integrate
+from .quadrature import find_root
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -97,6 +97,8 @@ class BetaMixture:
             raise ValueError("shape parameter must be >= 2")
         self.w = float(w)
         self.shape_b = float(shape_b)
+        if not np.isfinite(self.roughness()):
+            raise ValueError("shape parameter too large: the roughness of F'' overflows")
 
     def __repr__(self) -> str:
         return f"BetaMixture(w={self.w!r}, shape_b={self.shape_b!r})"
@@ -132,7 +134,12 @@ class BetaMixture:
         return float(out[0]) if scalar else out
 
     def roughness(self) -> float:
-        return integrate(lambda x: self.d2(x) ** 2, 0.0, 1.0)
+        # d2 = -2w + c*g, c = (1-w)*b*(b+1), where g = (1-x)^(b-2)*(1-b*x), the
+        # derivative of x*(1-x)^(b-1), has integral 0 and g^2 has integral
+        # (b-1)/((2b-1)(2b-3)); c * (c * ratio) overflows only if R does
+        b = self.shape_b
+        c = (1.0 - self.w) * b * (b + 1.0)
+        return 4.0 * self.w * self.w + c * (c * ((b - 1.0) / ((2.0 * b - 1.0) * (2.0 * b - 3.0))))
 
     def _cdf_b2(self, t: np.ndarray) -> np.ndarray:
         # CDF of the B(2, b) component alone on [0, 1]
@@ -155,7 +162,7 @@ class BetaMixture:
 
 
 class Reflected:
-    """Distribution of a + b - X for X from an inner distribution.
+    """CDF of a + b - X for X from an inner distribution.
 
     Used for right-boundary analysis: the right-strip behaviour of the
     estimator for F matches the left-strip behaviour for the reflected
@@ -169,30 +176,9 @@ class Reflected:
     def __repr__(self) -> str:
         return f"Reflected({self.inner!r})"
 
-    def _mirror(self, x):
-        a, b = self.support
-        return (a + b) - np.asarray(x, dtype=float)
-
     def cdf(self, x):
-        out = 1.0 - self.inner.cdf(self._mirror(x))
-        return out if np.ndim(out) else float(out)
-
-    def pdf(self, x):
-        return self.inner.pdf(self._mirror(x))
-
-    def d2(self, x):
-        out = -self.inner.d2(self._mirror(x))
-        return out if np.ndim(out) else float(out)
-
-    def roughness(self) -> float:
-        return self.inner.roughness()
-
-    def sample_batch(self, rngs, n: int) -> np.ndarray:
         a, b = self.support
-        return (a + b) - self.inner.sample_batch(rngs, n)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.sample_batch([rng], n)[0]
+        return 1.0 - self.inner.cdf((a + b) - np.asarray(x, dtype=float))
 
 
 def solve_params(target_d1: float, target_d2: float) -> BetaMixture:

@@ -4,7 +4,7 @@ A ``Grid`` is built once for sorted points, an a, b, h and base kernel
 and the estimators wanted: classical, or a family that corrects the
 strips (a, a+h) and (b-h, b), pins 0 and 1 outside [a, b] and is
 classical in between.  It does the work that depends on the points
-alone: the strip split, the interior blocks with their centres and Taylor
+alone: the strip split, the classical blocks with their centres and Taylor
 rows, and each family's shape, window edges and Taylor rows per strip.
 ``Grid.evaluate`` does the rest for each sample: sort, binary searches,
 prefix power sums, gathers and a Horner sum over the cached rows.
@@ -85,10 +85,9 @@ def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
 
 def _horner(rows, s, sums: np.ndarray) -> np.ndarray:
     """sum_k rows[k] * s^-k * sums[:, k], by Horner in 1/s."""
-    unit = np.ndim(s) == 0 and s == 1.0  # acc / 1.0 is acc to the bit
     acc = 0.0
     for k in range(len(rows) - 1, -1, -1):
-        acc = (acc if unit else acc / s) + rows[k] * sums[:, k]
+        acc = acc / s + rows[k] * sums[:, k]
     return acc
 
 
@@ -161,8 +160,7 @@ class Grid:
         a, b, h = cfg.a, cfg.b, cfg.h
         left, right = self.left, self.right = (xs > a) & (xs < a + h), (xs > b - h) & (xs < b)
         self.mid = (xs >= a + h) & (xs <= b - h)
-        self.inner = slice(None) if None in self.families else self.mid
-        self.blocks, self.pinned = _Blocks(cfg.base, h, xs[self.inner]), np.where(xs < b, 0.0, 1.0)
+        self.blocks, self.pinned = _Blocks(cfg.base, h, xs), np.where(xs < b, 0.0, 1.0)
         # the right strip reflected.  A strip point's alpha can round to 0 or
         # 1; the estimate is within rounding of its limit at the smallest
         # normal double (below it G(alpha) can round to 0) or the double below 1
@@ -180,8 +178,7 @@ class Grid:
         data = np.sort(_as_sample(values))
         if data[0] < a or data[-1] > b:
             raise ValueError("sample values must lie within [a, b]")
-        classical = np.zeros(self.xs.size)
-        classical[self.inner] = self.blocks(data)
+        classical = self.blocks(data)
         out = [(classical if f is None else self.pinned).copy() for f in self.families]
         if any(self.strips):
             # y = (X - a)/h, then the reflected (b - X)/h; windows end below 2

@@ -85,8 +85,6 @@ def integrate(
     hi = float(hi)
     if lo > hi:
         raise ValueError("need lo <= hi")
-    if lo == hi:
-        return 0.0
 
     cuts = sorted({lo, hi, *(float(p) for p in points if lo < float(p) < hi)})
     stack = []

@@ -39,10 +39,14 @@ def test_distribution_flags_mutually_exclusive():
     assert main(["bandwidth", "--w", "0.5"]) == 2  # missing --b
 
 
-def test_unknown_flag():
+def test_unknown_flag_prints_the_subcommand_usage(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bandwidth", "--uniform", "--frobnicate"])
     assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: bkcdf bandwidth ")
+    assert captured.err.endswith("bkcdf bandwidth: error: unrecognized arguments: --frobnicate\n")
 
 
 ONE_WAY = (
@@ -125,6 +129,10 @@ def test_argparse_flag_error_prints_the_subcommand_usage(capsys):
         (["--w", "0.5", "--b", "nan"], "shape parameter must be finite"),
         (["--d1-at-0", "1", "--d2-at-0", "inf"], "target second derivative at 0 must be finite"),
         (["--d1-at-0", "1", "--d2-at-0", "nan"], "target second derivative at 0 must be finite"),
+        (
+            ["--w", "0.5", "--b", "1e300"],
+            "shape parameter too large: the roughness of F'' overflows",
+        ),
     ],
 )
 def test_non_finite_distribution_is_rejected_input(capsys, command, flags, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,37 @@ def test_roughness():
     assert BetaMixture(0.0, 2.0).roughness() == pytest.approx(12.0, abs=1e-9)
 
 
+def _roughness_by_quadrature(w, b):
+    # F''(x) = -2w + c(1-x)^(b-2)(1-bx), integrated squared by a 40-point
+    # Gauss-Legendre rule on quarter-octave panels graded towards 0 in x
+    # (where a large b puts the mass) and towards 0 in t = 1 - x (where a
+    # b near 2 leaves (1-x)^(b-2) rough)
+    c = (1.0 - w) * b * (b + 1.0)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    edges = np.concatenate([[0.0], 2.0 ** np.arange(-80.0, -0.9, 0.25)])
+    panels = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+        near_0 = -2.0 * w + c * np.exp((b - 2.0) * np.log1p(-s)) * (1.0 - b * s)
+        near_1 = -2.0 * w + c * s ** (b - 2.0) * (1.0 - b + b * s)
+        panels.append(0.5 * (hi - lo) * (weights @ (near_0**2 + near_1**2)))
+    return math.fsum(panels)
+
+
+@pytest.mark.parametrize("b", [2.0, 2.1, 2.5, 3.7, 5.0, 37.3, 1e3, 1e4, 1e6])
+@pytest.mark.parametrize("w", [0.0, 0.75])
+def test_roughness_closed_form_matches_quadrature(w, b):
+    want = _roughness_by_quadrature(w, b)
+    assert abs(BetaMixture(w, b).roughness() - want) <= 1e-13 * want
+
+
+def test_shape_whose_roughness_overflows_is_rejected():
+    assert math.isfinite(BetaMixture(0.5, 1e103).roughness())
+    with pytest.raises(ValueError, match="roughness"):
+        BetaMixture(0.5, 1e300)
+    assert BetaMixture(1.0, 1e300).roughness() == 4.0  # no B(2, b) part
+
+
 def test_replicate_rng_independent_and_reproducible():
     a = replicate_rng(5, 3).random(4)
     b = replicate_rng(5, 3).random(4)
@@ -141,11 +174,6 @@ def test_reflected():
     refl = Reflected(dist)
     for x in (0.0, 0.2, 0.5, 0.77, 1.0):
         assert refl.cdf(x) == pytest.approx(1.0 - dist.cdf(1.0 - x), abs=1e-15)
-        assert refl.pdf(x) == pytest.approx(dist.pdf(1.0 - x), abs=1e-15)
-        assert refl.d2(x) == pytest.approx(-dist.d2(1.0 - x), abs=1e-15)
-    assert refl.roughness() == dist.roughness()
-    x = refl.sample(replicate_rng(2, 0), 100)
-    assert x.min() >= 0.0 and x.max() <= 1.0
 
 
 BATCH_DISTS = [
@@ -157,8 +185,6 @@ BATCH_DISTS = [
     solve_params(0.5, 30.0),
     Uniform(),
     Uniform(-2.0, 3.5),
-    Reflected(BetaMixture(0.4, 5.0)),
-    Reflected(Uniform(1.0, 2.0)),
 ]
 
 
@@ -197,6 +223,6 @@ def test_batch_draws_equal_one_inversion_per_draw(dist):
 
 
 def test_batch_checks_n():
-    for dist in (BetaMixture(0.5, 3.0), Uniform(), Reflected(Uniform())):
+    for dist in (BetaMixture(0.5, 3.0), Uniform()):
         with pytest.raises(ValueError):
             dist.sample_batch([replicate_rng(0, 0)], 0)
