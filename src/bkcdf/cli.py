@@ -27,7 +27,7 @@ from .distributions import BetaMixture, Uniform, solve_params
 from .estimator import EstimatorConfig, evaluate_grid
 from .kernels import KERNEL_NAMES, BaseKernel
 from .quadrature import QuadratureError, RootFindingError
-from .simulation import FAMILY_CHOICES, SimConfig, run_ise, summarize
+from .simulation import FAMILY_CHOICES, SimConfig, family_for, resolve_bandwidth, run_ise, summarize
 
 
 def _fmt(value) -> str:
@@ -93,12 +93,9 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
-def _parse_families(text, allow_classical=False):
-    choices = FAMILY_CHOICES if allow_classical else FAMILY_NAMES
+def _parse_families(text):
+    """The names in a comma-separated list; their owners check them."""
     fams = tuple(t.strip() for t in text.split(",") if t.strip())
-    for fam in fams:
-        if fam not in choices:
-            raise ValueError(f"unknown family {fam!r}; choose from {choices}")
     if not fams:
         raise ValueError("at least one family is required")
     return fams
@@ -112,40 +109,34 @@ def _cmd_estimate(args, base, dist):
     with warnings.catch_warnings():  # an empty file is rejected as an empty sample
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         data = np.loadtxt(args.data, ndmin=1)
-    family = None if args.family == "classical" else BoundaryKernelFamily(args.family, base)
-    cfg = EstimatorConfig(args.a, args.b, args.h, base, family)
+    cfg = EstimatorConfig(args.a, args.b, args.h, base, family_for(args.family, base))
     grid = np.linspace(args.a, args.b, args.grid)
     values = evaluate_grid(data, cfg, grid)
     return ["x", "Fhat"], zip(grid.tolist(), values.tolist())
 
 
 def _cmd_coeffs(args, base, dist):
-    fams = _parse_families(args.families)
+    fams = [BoundaryKernelFamily(name, base) for name in _parse_families(args.families)]
     alphas = _alpha_grid(args.points)
     rows = []
-    for name in fams:
-        fam = BoundaryKernelFamily(name, base)
+    for fam in fams:
         for alpha in alphas:
             mu = fam.mu_bias_coeff(alpha)
             nu = fam.nu_var_coeff(alpha)
-            rows.append((name, float(alpha), mu, mu * mu, nu, -nu))
+            rows.append((fam.variant, float(alpha), mu, mu * mu, nu, -nu))
     return ["family", "alpha", "mu", "mu_sq", "nu", "neg_nu"], rows
 
 
 def _cmd_mse_curve(args, base, dist):
-    fams = _parse_families(args.families)
-    if args.h == "optimal":
-        h = mise_terms(dist, base, args.n).h0
-    else:
-        h = float(args.h)
+    fams = [BoundaryKernelFamily(name, base) for name in _parse_families(args.families)]
+    h = resolve_bandwidth(args.h, dist, base, args.n)
     a, b = dist.support
     alphas = _alpha_grid(args.points)
     rows = []
-    for name in fams:
-        fam = BoundaryKernelFamily(name, base)
+    for fam in fams:
         cfg = EstimatorConfig(a, b, h, base, fam)
         for alpha, rec in zip(alphas, exact_mse_curve(dist, cfg, args.n, alphas)):
-            rows.append((name, float(alpha), rec.x, rec.bias, rec.variance, rec.mse))
+            rows.append((fam.variant, float(alpha), rec.x, rec.bias, rec.variance, rec.mse))
     return ["family", "alpha", "x", "bias", "variance", "mse"], rows
 
 
@@ -168,8 +159,7 @@ def _cmd_mise(args, base, dist):
 
 
 def _cmd_simulate(args, base, dist):
-    fams = _parse_families(args.families, allow_classical=True)
-    h = "optimal" if args.h == "optimal" else float(args.h)
+    fams = _parse_families(args.families)
     regions = None
     if args.region:
         regions = []
@@ -187,7 +177,7 @@ def _cmd_simulate(args, base, dist):
         seed=args.seed,
         base=base,
         families=fams,
-        h=h,
+        h=args.h,
         regions=regions,
     )
     res = run_ise(cfg)
@@ -234,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument(
-        "--family", default="classical", choices=("classical",) + FAMILY_NAMES
-    )
+    p.add_argument("--family", default="classical", choices=FAMILY_CHOICES)
     p.add_argument("--grid", type=_count, default=1001, help="number of grid points")
     p.set_defaults(func=_cmd_estimate)
 

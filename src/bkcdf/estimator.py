@@ -92,9 +92,15 @@ def _horner(rows, s, sums: np.ndarray) -> np.ndarray:
 
 
 class _Blocks:
-    """The classical estimate at the sorted points xs, called on a sorted sample."""
+    """The classical estimate at the sorted points xs, called on a sorted sample
+    within [lo, hi].  A point beyond lo - 2h or hi + 2h moves there, where the estimate
+    is its exact 0 or 1.  A block centre (floor(x/h) + 1/2)*h keeps its 1/2 only while
+    |x| < 2^52*h, so a smaller h at any point after that move is rejected."""
 
-    def __init__(self, base: BaseKernel, h: float, xs: np.ndarray):
+    def __init__(self, base: BaseKernel, h: float, xs: np.ndarray, lo: float, hi: float):
+        xs = np.clip(xs, lo - 2.0 * h, hi + 2.0 * h)
+        if np.any(np.abs(xs) * 2.0**-52 >= h):
+            raise ValueError("bandwidth too small for the points: need |x| < 2**52 * h")
         j = np.floor(xs / h)
         c = (j + 0.5) * h
         starts = np.flatnonzero(np.diff(j, prepend=np.nan))
@@ -160,7 +166,7 @@ class Grid:
         a, b, h = cfg.a, cfg.b, cfg.h
         left, right = self.left, self.right = (xs > a) & (xs < a + h), (xs > b - h) & (xs < b)
         self.mid = (xs >= a + h) & (xs <= b - h)
-        self.blocks, self.pinned = _Blocks(cfg.base, h, xs), np.where(xs < b, 0.0, 1.0)
+        self.blocks, self.pinned = _Blocks(cfg.base, h, xs, a, b), np.where(xs < b, 0.0, 1.0)
         # the right strip reflected.  A strip point's alpha can round to 0 or
         # 1; the estimate is within rounding of its limit at the smallest
         # normal double (below it G(alpha) can round to 0) or the double below 1
@@ -202,7 +208,7 @@ def classical_cdf(values, base: BaseKernel, h: float, x):
         raise ValueError("evaluation points must be finite")
     order = np.argsort(xs, axis=None)
     out = np.empty(xs.shape)
-    out.flat[order] = _Blocks(base, h, xs.flat[order])(data)
+    out.flat[order] = _Blocks(base, h, xs.flat[order], data[0], data[-1])(data)
     return out if out.ndim else float(out)
 
 

@@ -66,10 +66,8 @@ class BaseKernel:
         return out if out.ndim else float(out)
 
     def antiderivative(self, u):
-        """Cumulative kernel: 0 below -1, 1 above +1."""
-        u = np.asarray(u, dtype=float)
-        out = P.polyval(np.clip(u, -1.0, 1.0), self._anti)
-        return out if out.ndim else float(out)
+        """Cumulative kernel Kbar = G + 1/2: 0 below -1, 1 above +1."""
+        return self.odd_part(u) + 0.5
 
     def odd_part(self, u):
         """G(u) = Kbar(u) - 1/2: -1/2 below -1, 1/2 above +1."""

@@ -42,8 +42,8 @@ class QuadSpec:
     max_subdivisions: int = 2**15
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
@@ -74,7 +74,7 @@ def integrate(
     spec: QuadSpec | None = None,
     points: Iterable[float] = (),
 ) -> float:
-    """Integrate f over [lo, hi] by adaptive panel bisection.
+    """Integrate f over a finite [lo, hi] by adaptive panel bisection.
 
     ``points`` lists known kink locations (e.g. kernel support
     endpoints); they become initial panel boundaries so each panel sees
@@ -83,8 +83,8 @@ def integrate(
     spec = spec or QuadSpec()
     lo = float(lo)
     hi = float(hi)
-    if lo > hi:
-        raise ValueError("need lo <= hi")
+    if not -np.inf < lo <= hi < np.inf:
+        raise ValueError("need finite lo <= hi")
 
     cuts = sorted({lo, hi, *(float(p) for p in points if lo < float(p) < hi)})
     stack = []
@@ -127,7 +127,7 @@ def integrate(
 def find_root(f: Callable, lo, hi, level=0.0):
     """x in [lo, hi] with f(x) = level, by bisection with secant acceleration.
 
-    lo, hi and level broadcast to one shape of independent lanes; f maps
+    lo, hi and level (finite) broadcast to one shape of independent lanes; f maps
     an array of points to their values elementwise.  Each lane takes the
     steps a lone bracket takes, so its root has the same bits whichever
     lanes come with it, and only lanes still open are passed to f.  A
@@ -135,6 +135,8 @@ def find_root(f: Callable, lo, hi, level=0.0):
     change of f - level over its bracket; the iterate never leaves it.
     """
     lo, hi, level = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, level))
+    if not np.isfinite((lo, hi, level)).all():
+        raise ValueError("brackets and levels must be finite")
     shape = lo.shape
     lo, hi, level = lo.ravel(), hi.ravel(), level.ravel()
     root = np.empty(lo.size)

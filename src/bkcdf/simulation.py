@@ -11,12 +11,12 @@ ISE values are computed by composite Simpson quadrature on a fixed grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .analysis import mise_terms
-from .boundary import BoundaryKernelFamily
+from .boundary import FAMILY_NAMES, BoundaryKernelFamily
 from .distributions import replicate_rng
 from .estimator import EstimatorConfig, Grid
 from .kernels import BaseKernel
@@ -25,7 +25,7 @@ PANELS_PER_UNIT = 4096
 # draws per sample_batch call: whole replicates, at least one, about this many
 SAMPLE_CHUNK = 2**16
 
-FAMILY_CHOICES = ("classical", "k1", "k2", "k3")
+FAMILY_CHOICES = ("classical",) + FAMILY_NAMES
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class SimConfig:
     seed: int = 0
     base: BaseKernel = field(default_factory=lambda: BaseKernel("epanechnikov"))
     families: tuple = FAMILY_CHOICES
-    h: object = "optimal"  # "optimal" or a fixed bandwidth
+    h: object = "optimal"  # "optimal" or a fixed bandwidth (a float or its text)
     regions: Optional[tuple] = None  # default: left strip, right strip, full
 
     def __post_init__(self):
@@ -78,17 +78,23 @@ def _simpson_grid(lo: float, hi: float):
     return x, w
 
 
-def resolve_bandwidth(cfg: SimConfig) -> float:
-    if cfg.h == "optimal":
-        return mise_terms(cfg.dist, cfg.base, cfg.n).h0
-    return float(cfg.h)
+def resolve_bandwidth(h, dist, base: BaseKernel, n: int) -> float:
+    """h as a float, or the asymptotically optimal h0 for "optimal"."""
+    if h == "optimal":
+        return mise_terms(dist, base, n).h0
+    return float(h)
+
+
+def family_for(name: str, base: BaseKernel) -> Optional[BoundaryKernelFamily]:
+    """The estimator called name: None for "classical", else its family."""
+    return None if name == "classical" else BoundaryKernelFamily(name, base)
 
 
 def run_ise(cfg: SimConfig) -> SimResult:
     """Run the replicated ISE experiment described by cfg: one grid holds
     every region's Simpson nodes, and each replicate is evaluated on it once."""
     a, b = cfg.dist.support
-    h = resolve_bandwidth(cfg)
+    h = resolve_bandwidth(cfg.h, cfg.dist, cfg.base, cfg.n)
     est = EstimatorConfig(a, b, h, cfg.base)  # checks h before the default regions use it
     regions = ((a, a + h), (b - h, b), (a, b)) if cfg.regions is None else cfg.regions
     regions = tuple((float(lo), float(hi)) for lo, hi in regions)
@@ -97,7 +103,7 @@ def run_ise(cfg: SimConfig) -> SimResult:
             raise ValueError("regions must be contained in the support")
 
     live = [(k, *_simpson_grid(lo, hi)) for k, (lo, hi) in enumerate(regions) if lo < hi]
-    fams = [None if f == "classical" else BoundaryKernelFamily(f, cfg.base) for f in cfg.families]
+    fams = [family_for(f, cfg.base) for f in cfg.families]
     grid = Grid(np.sort(np.concatenate([np.empty(0)] + [x for _, x, _ in live])), est, fams)
     cells = [(k, np.searchsorted(grid.xs, x), w, cfg.dist.cdf(x)) for k, x, w in live]
 

@@ -206,3 +206,8 @@ def test_broadcast_over_alpha():
     assert out.shape == (2, 1)
     assert out[0, 0] == pytest.approx(f.left_antiderivative(-0.5, 0.3), abs=1e-15)
     assert out[1, 0] == pytest.approx(f.left_antiderivative(0.2, 0.7), abs=1e-15)
+
+
+def test_family_names_are_case_sensitive():
+    with pytest.raises(ValueError, match="unknown family 'K1'; choose from"):
+        fam("K1")

@@ -419,3 +419,44 @@ def test_simulate_bad_bandwidth_reported_as_bandwidth(flags, capsys):
     err = capsys.readouterr().err
     assert "bandwidth must satisfy 0 < h <= (b - a)/2" in err
     assert "region" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--data", "{tmp}/data.txt", "--a", "0", "--b", "1", "--grid", "11"],
+        ["simulate", "--w", "0.75", "--b", "5", "--reps", "1"],
+    ],
+)
+@pytest.mark.parametrize("h", ["1e-60", "1e-200"])
+def test_bandwidth_below_the_block_lattice_is_rejected_input(tmp_path, capsys, argv, h):
+    # estimate printed 0.9,nan at 1e-200 and 0.25 at x = 0.5 (limit 0.5) at
+    # 1e-60; simulate printed nan ISE rows
+    (tmp_path / "data.txt").write_text("0.2\n0.5\n0.9\n0.5\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--h", h]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bandwidth too small for the points: need |x| < 2**52 * h\n"
+
+
+def test_mse_curve_rejects_an_unknown_family_before_any_output(capsys):
+    assert main(["mse-curve", "--w", "0.75", "--b", "5", "--families", "k1,k9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown family 'k9'; choose from ('k1', 'k2', 'k3')\n"
+
+
+def test_optimal_bandwidth_is_the_same_h0_in_every_command(capsys):
+    dist = ["--w", "0.75", "--b", "5", "--n", "50"]
+    assert main(["bandwidth", *dist]) == 0
+    h0 = capsys.readouterr().out.splitlines()[1].split(",")[0]
+    assert main(["simulate", *dist, "--reps", "1", "--families", "k1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[2] == f"0.0:{h0}"
+    # the one cut point is alpha = 1/2, so x = h/2 exactly
+    assert main(["mse-curve", *dist, "--families", "k1", "--points", "1"]) == 0
+    x = capsys.readouterr().out.splitlines()[1].split(",")[2]
+    assert 2.0 * float(x) == float(h0)

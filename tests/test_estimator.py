@@ -483,3 +483,38 @@ def test_strip_points_whose_cut_point_rounds_to_one(base, variant):
         assert (a < x < a + h and (x - a) / h == 1.0) or (b - h < x < b and (b - x) / h == 1.0)
         got = evaluate_grid(data, EstimatorConfig(a, b, h, base, fam), [x])[0]
         assert abs(got - classical_cdf(data, base, h, x)) <= 1e-14
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=str)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_points_far_outside_the_support_are_exactly_0_or_1(base, variant):
+    # each block's Taylor rows overflowed there, and the estimate was NaN
+    data = [0.2, 0.5, 0.9, 0.5]
+    fam = None if variant is None else BoundaryKernelFamily(variant, base)
+    cfg = EstimatorConfig(0.0, 1.0, 0.1, base, fam)
+    far = [-1.2345e300, -1.2345e150, 1.2345e150, 1.2345e300]
+    assert evaluate_grid(data, cfg, far).tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert classical_cdf(data, base, 0.1, far[::-1]).tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=str)
+@pytest.mark.parametrize("h", [1e-60, 1e-200, 0.5**53])
+def test_bandwidth_below_the_block_lattice_is_rejected(variant, h):
+    # at h = 1e-60 the estimate at 0.5 was 0.25 (its limit is 0.5), and at
+    # 1e-200 it was NaN; each block centre (floor(x/h) + 1/2)*h lost its 1/2
+    data = [0.2, 0.5, 0.9, 0.5]
+    with pytest.raises(ValueError, match="bandwidth too small"):
+        evaluate_grid(data, make_cfg(variant, h=h), [0.5])
+    with pytest.raises(ValueError, match="bandwidth too small"):
+        classical_cdf(data, EPAN, h, 0.5)
+
+
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_block_lattice_holds_up_to_2_to_the_52_bandwidths(base):
+    # x = 2^52 - 1 sits in the block centred at 2^52 - 1/2, the last one
+    # whose centre is a double; x = 2^52 is the first point rejected
+    x = 2.0**52 - 1.0
+    assert classical_cdf([x - 1.0, x, x + 1.0], base, 1.0, x) == 0.5
+    assert classical_cdf([x - 1.0, x, x + 1.0], base, 1.0, -x) == 0.0
+    with pytest.raises(ValueError, match="bandwidth too small"):
+        classical_cdf([x, x + 1.0], base, 1.0, x + 1.0)

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from bkcdf.boundary import FAMILY_NAMES
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bkcdf").glob("*.py"))
 
 
@@ -34,4 +36,18 @@ def test_only_build_parser_and_main_touch_the_parser_in_cli():
             and isinstance(call.func, ast.Attribute)
             and call.func.attr == "error"
         ]
+    assert found == []
+
+
+def test_only_boundary_spells_the_family_names_as_a_collection():
+    # every other module builds on FAMILY_NAMES, so a new family is added once
+    found = []
+    for path in SOURCES:
+        if path.name == "boundary.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                names = [e.value for e in node.elts if isinstance(e, ast.Constant)]
+                if set(names) & set(FAMILY_NAMES):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []

@@ -204,3 +204,31 @@ def test_lanes_without_a_sign_change_raise():
         find_root(_monotone, lo, hi, level)
     with pytest.raises(RootFindingError, match="no sign change"):
         find_root(_monotone, lo[7], hi[7], level[7])
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (np.nan, 1.0)])
+def test_non_finite_bounds_are_rejected(lo, hi):
+    # (0, inf) returned NaN, and (0, nan) spent the whole budget first
+    calls = []
+    with pytest.raises(ValueError, match="finite"):
+        integrate(lambda u: calls.append(u) or np.ones_like(u), lo, hi)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_tolerances_are_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        QuadSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "lo, hi, level",
+    [(0.0, 1.0, np.nan), (0.0, 1.0, np.inf), (np.nan, 1.0, 0.5), (0.0, np.inf, 0.5)],
+)
+def test_root_rejects_non_finite_brackets_and_levels(lo, hi, level):
+    # level nan returned 0.9999999999999716
+    with pytest.raises(ValueError, match="finite"):
+        find_root(lambda x: x, lo, hi, level)
+    with pytest.raises(ValueError, match="finite"):
+        find_root(lambda x: x, np.array([0.0, lo]), np.array([1.0, hi]), np.array([0.5, level]))
