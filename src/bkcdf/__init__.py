@@ -29,7 +29,6 @@ from .distributions import (
 from .estimator import (
     EstimatorConfig,
     boundary_cdf,
-    classical_cdf,
     evaluate_grid,
     is_proper,
 )

@@ -69,8 +69,8 @@ class MiseTerms:
 
 
 def _check(dist, cfg: EstimatorConfig, n: int) -> None:
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if not 1 <= n < np.inf:  # also false for a NaN n
+        raise ValueError("need a finite n >= 1")
     if dist.support != (cfg.a, cfg.b):
         raise ValueError("distribution support does not match the estimator config")
 
@@ -124,8 +124,10 @@ def asymptotic_pointwise(
     dist, fam: BoundaryKernelFamily, h: float, alpha: float, n: int
 ) -> PointwiseError:
     """Leading-term bias and variance at the left-strip point a + alpha*h."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if not 1 <= n < np.inf:  # also false for a NaN n
+        raise ValueError("need a finite n >= 1")
+    if not 0.0 < h < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
     a = dist.support[0]
     x = a + float(alpha) * h
     bias = 0.5 * h**2 * dist.d2(x) * fam.mu_bias_coeff(alpha)
@@ -136,8 +138,8 @@ def asymptotic_pointwise(
 
 def mise_terms(dist, base: BaseKernel, n: int) -> MiseTerms:
     """Leading MISE terms and the asymptotically optimal bandwidth."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if not 1 <= n < np.inf:  # also false for a NaN n
+        raise ValueError("need a finite n >= 1")
     a, b = dist.support
     i0 = integrate(lambda x: dist.cdf(x) * (1.0 - dist.cdf(x)), a, b)
     rough = dist.roughness()

@@ -61,15 +61,6 @@ class EstimatorConfig:
             raise ValueError("the family must use the configured base kernel")
 
 
-def _as_sample(values) -> np.ndarray:
-    data = np.asarray(values, dtype=float)
-    if data.ndim != 1 or data.size == 0:
-        raise ValueError("sample must be a non-empty one-dimensional collection")
-    if not np.isfinite(data).all():
-        raise ValueError("sample values must be finite")
-    return data
-
-
 def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
     """Row r holds sum_{i<r} y_i^k, k = 0..degree, compensated: the exact
     error of each running addition (Knuth's two-sum) is added back, so long
@@ -93,12 +84,13 @@ def _horner(rows, s, sums: np.ndarray) -> np.ndarray:
 
 class _Blocks:
     """The classical estimate at the sorted points xs, called on a sorted sample
-    within [lo, hi].  A point beyond lo - 2h or hi + 2h moves there, where the estimate
+    within [a, b] of cfg.  A point beyond a - 2h or b + 2h moves there, where the estimate
     is its exact 0 or 1.  A block centre (floor(x/h) + 1/2)*h keeps its 1/2 only while
     |x| < 2^52*h, so a smaller h at any point after that move is rejected."""
 
-    def __init__(self, base: BaseKernel, h: float, xs: np.ndarray, lo: float, hi: float):
-        xs = np.clip(xs, lo - 2.0 * h, hi + 2.0 * h)
+    def __init__(self, cfg: EstimatorConfig, xs: np.ndarray):
+        h = cfg.h
+        xs = np.clip(xs, cfg.a - 2.0 * h, cfg.b + 2.0 * h)
         if np.any(np.abs(xs) * 2.0**-52 >= h):
             raise ValueError("bandwidth too small for the points: need |x| < 2**52 * h")
         j = np.floor(xs / h)
@@ -107,7 +99,7 @@ class _Blocks:
         self.counts, self.h, self.xs = np.diff(starts, append=xs.size), h, xs
         self.lo, self.hi = c[starts] - 1.5 * h, c[starts] + 1.5 * h
         self.spans = list(zip(starts.tolist(), [*starts[1:].tolist(), xs.size], c[starts].tolist()))
-        self.rows = [P.polyval((xs - c) / h, row) for row in base.taylor]
+        self.rows = [P.polyval((xs - c) / h, row) for row in cfg.base.taylor]
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         first = np.repeat(np.searchsorted(data, self.lo), self.counts)
@@ -166,7 +158,7 @@ class Grid:
         a, b, h = cfg.a, cfg.b, cfg.h
         left, right = self.left, self.right = (xs > a) & (xs < a + h), (xs > b - h) & (xs < b)
         self.mid = (xs >= a + h) & (xs <= b - h)
-        self.blocks, self.pinned = _Blocks(cfg.base, h, xs, a, b), np.where(xs < b, 0.0, 1.0)
+        self.blocks, self.pinned = _Blocks(cfg, xs), np.where(xs < b, 0.0, 1.0)
         # the right strip reflected.  A strip point's alpha can round to 0 or
         # 1; the estimate is within rounding of its limit at the smallest
         # normal double (below it G(alpha) can round to 0) or the double below 1
@@ -181,14 +173,21 @@ class Grid:
         """The estimate at xs from the sample values (finite, inside [a, b])
         of each of the grid's families, in order, each in an array of its own."""
         a, b, h, mid = self.cfg.a, self.cfg.b, self.cfg.h, self.mid
-        data = np.sort(_as_sample(values))
+        data = np.asarray(values, dtype=float)
+        if data.ndim != 1 or data.size == 0:
+            raise ValueError("sample must be a non-empty one-dimensional collection")
+        if not np.isfinite(data).all():
+            raise ValueError("sample values must be finite")
+        data = np.sort(data)
         if data[0] < a or data[-1] > b:
             raise ValueError("sample values must lie within [a, b]")
         classical = self.blocks(data)
         out = [(classical if f is None else self.pinned).copy() for f in self.families]
         if any(self.strips):
-            # y = (X - a)/h, then the reflected (b - X)/h; windows end below 2
-            ys = [y[: np.searchsorted(y, 2.0)] for y in ((data - a) / h, (b - data[::-1]) / h)]
+            # y = (X - a)/h, then the reflected (b - X)/h; windows end below 2,
+            # so a y that overflows (when (b - a)/h does) is dropped unused
+            with np.errstate(over="ignore"):
+                ys = [y[: np.searchsorted(y, 2.0)] for y in ((data - a) / h, (b - data[::-1]) / h)]
             sums = [_prefix_power_sums(y, self.cfg.base.odd.size - 1) for y in ys]
         for strips, est in zip(self.strips, out):
             if strips:  # pinned outside (a, b), classical between the strips
@@ -196,20 +195,6 @@ class Grid:
                 est[self.left] = strips[0](ys[0], sums[0], data.size)
                 est[self.right] = 1.0 - strips[1](ys[1], sums[1], data.size)
         return out
-
-
-def classical_cdf(values, base: BaseKernel, h: float, x):
-    """Plain kernel CDF estimate at x (scalar or array of any shape)."""
-    if not 0.0 < h < math.inf:
-        raise ValueError("bandwidth must be positive and finite")
-    data = np.sort(_as_sample(values))
-    xs = np.asarray(x, dtype=float)
-    if not np.isfinite(xs).all():
-        raise ValueError("evaluation points must be finite")
-    order = np.argsort(xs, axis=None)
-    out = np.empty(xs.shape)
-    out.flat[order] = _Blocks(base, h, xs.flat[order], data[0], data[-1])(data)
-    return out if out.ndim else float(out)
 
 
 def evaluate_grid(values, cfg: EstimatorConfig, grid) -> np.ndarray:

@@ -205,6 +205,28 @@ def test_n_validation():
         exact_mise(dist, cfg, 0, (0.0, 1.0))
 
 
+MIXTURE = BetaMixture(0.75, 5.0)
+K1 = BoundaryKernelFamily("k1", EPAN)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 0.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: mise_terms(MIXTURE, EPAN, n),
+        lambda n: pointwise_error(MIXTURE, make_cfg("k1"), n, 0.1),
+        lambda n: asymptotic_pointwise(MIXTURE, K1, 0.1, 0.5, n),
+        lambda h: asymptotic_pointwise(MIXTURE, K1, h, 0.5, 50),
+    ],
+    ids=["mise_terms-n", "pointwise_error-n", "asymptotic-n", "asymptotic-h"],
+)
+def test_non_finite_or_non_positive_n_and_h_are_rejected(call, bad):
+    # a NaN n passed "n < 1" and came back as h0 = nan or a NaN variance; an
+    # infinite n gave h0 = 0.0, and a NaN, infinite or negative h a NaN or 0
+    with pytest.raises(ValueError):
+        call(bad)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, np.nan])
 def test_strip_functions_reject_alpha_outside_unit_interval(alpha):
     dist = BetaMixture(0.5, 4.0)

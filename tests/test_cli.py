@@ -460,3 +460,14 @@ def test_optimal_bandwidth_is_the_same_h0_in_every_command(capsys):
     assert main(["mse-curve", *dist, "--families", "k1", "--points", "1"]) == 0
     x = capsys.readouterr().out.splitlines()[1].split(",")[2]
     assert 2.0 * float(x) == float(h0)
+
+
+def test_strip_coordinates_that_overflow_leak_no_warning(tmp_path, capsys):
+    # (b - a)/h = 1e500: numpy's overflow warning reached stderr before
+    (tmp_path / "data.txt").write_text("1e300\n")
+    argv = ["estimate", "--data", str(tmp_path / "data.txt"), "--a", "0", "--b", "1e300"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--h", "1e-200", "--grid", "1", "--family", "k1"]) == 0
+    assert caught == []
+    assert capsys.readouterr() == ("x,Fhat\n0.0,0.0\n", "")

@@ -11,7 +11,6 @@ from bkcdf.estimator import (
     EstimatorConfig,
     Grid,
     boundary_cdf,
-    classical_cdf,
     evaluate_grid,
     is_proper,
 )
@@ -54,22 +53,21 @@ def test_config_rejects_a_family_over_another_kernel():
 
 
 def test_classical_values():
-    assert classical_cdf([0.5], EPAN, 0.2, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert classical_cdf([0.1, 0.4], EPAN, 0.1, 0.9) == 1.0
-    assert classical_cdf([0.3, 0.7], EPAN, 0.1, 0.5) == pytest.approx(0.5, abs=1e-15)
+    cfg = make_cfg(None, h=0.1)
+    assert evaluate_grid([0.5], make_cfg(None), [0.5])[0] == pytest.approx(0.5, abs=1e-15)
+    assert evaluate_grid([0.1, 0.4], cfg, [0.9])[0] == 1.0
+    assert evaluate_grid([0.3, 0.7], cfg, [0.5])[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_classical_errors():
     with pytest.raises(ValueError):
-        classical_cdf([], EPAN, 0.1, 0.5)
-    with pytest.raises(ValueError):
-        classical_cdf([0.5], EPAN, 0.0, 0.5)
-    for h in (np.nan, np.inf):
+        evaluate_grid([], make_cfg(None, h=0.1), [0.5])
+    for h in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            classical_cdf([0.5], EPAN, h, 0.5)
-    for x in (np.nan, np.inf, [0.5, np.nan]):
+            evaluate_grid([0.5], make_cfg(None, h=h), [0.5])
+    for x in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            classical_cdf([0.5], EPAN, 0.2, x)
+            evaluate_grid([0.5], make_cfg(None), [0.5, x])
 
 
 def test_boundary_endpoint_values():
@@ -88,18 +86,11 @@ def test_boundary_support_containment_example():
 
 @pytest.mark.parametrize("variant", FAMILY_NAMES)
 def test_boundary_matches_classical_in_middle(variant):
-    cfg = make_cfg(variant, h=0.15)
+    cfg, classical = make_cfg(variant, h=0.15), make_cfg(None, h=0.15)
     rng = replicate_rng(3, 0)
     sample = BetaMixture(0.5, 4.0).sample(rng, 40)
     for x in np.linspace(0.15, 0.85, 29):
-        assert boundary_cdf(sample, cfg, x) == classical_cdf(sample, EPAN, 0.15, x)
-
-
-def test_family_none_is_classical():
-    cfg = make_cfg(None)
-    sample = [0.2, 0.5, 0.9]
-    for x in (-0.1, 0.05, 0.5, 0.99, 1.4):
-        assert boundary_cdf(sample, cfg, x) == classical_cdf(sample, EPAN, 0.2, x)
+        assert boundary_cdf(sample, cfg, x) == boundary_cdf(sample, classical, x)
 
 
 def test_sample_outside_support_rejected():
@@ -113,9 +104,8 @@ def test_sample_outside_support_rejected():
     [
         lambda data: evaluate_grid(data, make_cfg("k1"), [0.1, 0.5]),
         lambda data: boundary_cdf(data, make_cfg("k1"), 0.5),
-        lambda data: classical_cdf(data, EPAN, 0.2, 0.5),
     ],
-    ids=["evaluate_grid", "boundary_cdf", "classical_cdf"],
+    ids=["evaluate_grid", "boundary_cdf"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_sample_rejected(evaluate, bad):
@@ -365,17 +355,6 @@ def test_affine_invariance(base, variant, problem, shift, power):
     assert np.abs(got - evaluate_grid(c + s * data, moved, c + s * grid)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
-@PROPERTY
-@given(problem=problems())
-def test_classical_cdf_matches_dense_mean(base, problem):
-    data, a, b, h, grid = problem
-    xs = np.random.default_rng(grid.size).permutation(grid)
-    got = classical_cdf(data, base, h, xs)
-    ref = dense_estimate(data, EstimatorConfig(a, b, h, base), xs)
-    assert np.abs(got - ref).max() <= 1e-12
-
-
 @pytest.mark.parametrize("variant", FAMILY_NAMES)
 @pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
 def test_proper_within_ulps_of_the_boundaries(base, variant):
@@ -419,19 +398,6 @@ def test_grid_values_match_one_point_calls(base, variant):
     vals = evaluate_grid(data, cfg, xs)
     for x, v in zip(xs, vals):
         assert boundary_cdf(data, cfg, x) == v
-
-
-@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
-def test_classical_cdf_shapes_match_pointwise_calls(base):
-    data = BetaMixture(0.4, 3.0).sample(replicate_rng(6, 0), 80)
-    x = np.random.default_rng(1).uniform(-0.3, 1.3, (7, 9))
-    vals = classical_cdf(data, base, 0.15, x)
-    assert vals.shape == (7, 9)
-    for idx in np.ndindex(x.shape):
-        assert classical_cdf(data, base, 0.15, float(x[idx])) == vals[idx]
-    flat = x.ravel()
-    assert np.array_equal(classical_cdf(data, base, 0.15, flat), vals.ravel())
-    assert isinstance(classical_cdf(data, base, 0.15, 0.4), float)
 
 
 def test_memory_is_linear_in_n_plus_m():
@@ -482,7 +448,8 @@ def test_strip_points_whose_cut_point_rounds_to_one(base, variant):
     ]:
         assert (a < x < a + h and (x - a) / h == 1.0) or (b - h < x < b and (b - x) / h == 1.0)
         got = evaluate_grid(data, EstimatorConfig(a, b, h, base, fam), [x])[0]
-        assert abs(got - classical_cdf(data, base, h, x)) <= 1e-14
+        classical = evaluate_grid(data, EstimatorConfig(a, b, h, base), [x])[0]
+        assert abs(got - classical) <= 1e-14
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=str)
@@ -494,7 +461,6 @@ def test_points_far_outside_the_support_are_exactly_0_or_1(base, variant):
     cfg = EstimatorConfig(0.0, 1.0, 0.1, base, fam)
     far = [-1.2345e300, -1.2345e150, 1.2345e150, 1.2345e300]
     assert evaluate_grid(data, cfg, far).tolist() == [0.0, 0.0, 1.0, 1.0]
-    assert classical_cdf(data, base, 0.1, far[::-1]).tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=str)
@@ -505,8 +471,6 @@ def test_bandwidth_below_the_block_lattice_is_rejected(variant, h):
     data = [0.2, 0.5, 0.9, 0.5]
     with pytest.raises(ValueError, match="bandwidth too small"):
         evaluate_grid(data, make_cfg(variant, h=h), [0.5])
-    with pytest.raises(ValueError, match="bandwidth too small"):
-        classical_cdf(data, EPAN, h, 0.5)
 
 
 @pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
@@ -514,7 +478,15 @@ def test_block_lattice_holds_up_to_2_to_the_52_bandwidths(base):
     # x = 2^52 - 1 sits in the block centred at 2^52 - 1/2, the last one
     # whose centre is a double; x = 2^52 is the first point rejected
     x = 2.0**52 - 1.0
-    assert classical_cdf([x - 1.0, x, x + 1.0], base, 1.0, x) == 0.5
-    assert classical_cdf([x - 1.0, x, x + 1.0], base, 1.0, -x) == 0.0
+    cfg = EstimatorConfig(x - 1.0, x + 1.0, 1.0, base)
+    assert evaluate_grid([x - 1.0, x, x + 1.0], cfg, [-x, x]).tolist() == [0.0, 0.5]
     with pytest.raises(ValueError, match="bandwidth too small"):
-        classical_cdf([x, x + 1.0], base, 1.0, x + 1.0)
+        evaluate_grid([x, x + 1.0], EstimatorConfig(x, x + 2.0, 1.0, base), [x + 1.0])
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+def test_strip_coordinates_that_overflow_leak_no_warning(variant):
+    # (b - X)/h is fine, but (X - a)/h = 1e500 overflowed with a RuntimeWarning;
+    # a y that large lies in no strip window, so the value was right all along
+    cfg = EstimatorConfig(0.0, 1e300, 1e-200, EPAN, BoundaryKernelFamily(variant, EPAN))
+    assert evaluate_grid([1e300], cfg, [0.0]).tolist() == [0.0]

@@ -51,3 +51,20 @@ def test_only_boundary_spells_the_family_names_as_a_collection():
                 if set(names) & set(FAMILY_NAMES):
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_only_grid_builds_blocks_and_strips():
+    # every estimate goes through Grid, so there is one evaluation path
+    inside, outside = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        grids = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "Grid"]
+        in_grid = {id(n) for grid in grids for n in ast.walk(grid)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in ("_Blocks", "_Strip") and id(node) in in_grid:
+                inside.add(name)
+            elif name in ("_Blocks", "_Strip"):
+                outside.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert inside == {"_Blocks", "_Strip"} and outside == []
