@@ -17,7 +17,7 @@ from .boundary import (
     FAMILY_NAMES,
     BoundaryKernelFamily,
     ConditionCheck,
-    DegenerateKernelError,
+    clip_alpha,
 )
 from .distributions import (
     BetaMixture,
@@ -28,7 +28,6 @@ from .distributions import (
 )
 from .estimator import (
     EstimatorConfig,
-    boundary_cdf,
     evaluate_grid,
     is_proper,
 )

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .boundary import BoundaryKernelFamily
+from .boundary import BoundaryKernelFamily, clip_alpha
 from .distributions import Reflected
 from .estimator import EstimatorConfig
 from .kernels import BaseKernel
@@ -90,10 +90,9 @@ def _moments(dist, x, h, density, cumulative, lo, hi, kinks):
 def _left_strip_moments(dist, fam, x, h, alpha):
     """_moments at the left-strip point x = a + alpha*h."""
     lo, hi = fam.support(alpha)
-    kinks = [p for p in (-alpha, alpha) if lo < p < hi]
     density = partial(fam.left_density, alpha=alpha)
     cumulative = partial(fam.left_antiderivative, alpha=alpha)
-    return _moments(dist, x, h, density, cumulative, lo, hi, kinks)
+    return _moments(dist, x, h, density, cumulative, lo, hi, (-alpha, alpha))
 
 
 def exact_bias(dist, cfg: EstimatorConfig, alpha: float) -> float:
@@ -162,17 +161,17 @@ def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
     """(bias, variance) of the configured estimator at x."""
     a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
     if fam is None or a + h <= x <= b - h:
-        kinks = [p for p in ((x - b) / h, (x - a) / h) if -1.0 < p < 1.0]
+        kinks = ((x - b) / h, (x - a) / h)
         base = cfg.base
         bias, nvar = _moments(dist, x, h, base.density, base.antiderivative, -1, 1, kinks)
     elif x <= a or x >= b:
         return 0.0, 0.0
     elif x < a + h:
-        bias, nvar = _left_strip_moments(dist, fam, x, h, (x - a) / h)
+        bias, nvar = _left_strip_moments(dist, fam, x, h, clip_alpha((x - a) / h))
     else:
         # right strip: the estimate equals 1 minus the left-strip estimate of
         # the reflected distribution at the mirrored point
-        alpha = (b - x) / h
+        alpha = clip_alpha((b - x) / h)
         bias, nvar = _left_strip_moments(Reflected(dist), fam, a + alpha * h, h, alpha)
         bias = -bias
     return bias, nvar / n
@@ -187,7 +186,7 @@ def pointwise_error(dist, cfg: EstimatorConfig, n: int, x: float) -> PointwiseEr
     return PointwiseError(x=float(x), bias=bias, variance=var)
 
 
-_OUTER_SPEC = QuadSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2**15)
+_OUTER_SPEC = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
 
 
 def _integrated(dist, cfg: EstimatorConfig, n: int, region, squared_bias):
@@ -202,7 +201,7 @@ def _integrated(dist, cfg: EstimatorConfig, n: int, region, squared_bias):
         bias, var = _pointwise(dist, cfg, n, float(x))
         return var + bias**2 if squared_bias else var
 
-    panels = [p for p in (cfg.a + cfg.h, cfg.b - cfg.h) if lo < p < hi]
+    panels = (cfg.a + cfg.h, cfg.b - cfg.h)
     return integrate(integrand, lo, hi, _OUTER_SPEC, points=panels)
 
 

@@ -39,8 +39,13 @@ from .kernels import BaseKernel, square_integral
 FAMILY_NAMES = ("k1", "k2", "k3")
 
 
-class DegenerateKernelError(ValueError):
-    """The k3 normaliser is not positive at the requested cut point."""
+def clip_alpha(alpha):
+    """The cut point alpha = (x - a)/h or (b - x)/h of a strip point, which
+    can round to 0 or 1, moved to the smallest normal double (below it
+    G(alpha) can round to 0) or the double below 1, where the estimate is
+    within rounding of its limit."""
+    out = np.clip(alpha, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,7 @@ class BoundaryKernelFamily:
             return 1.0, -a, a, 1.0, 2.0 * self.base.odd_part(a)
         if self.variant == "k2":
             return a, -a, a, 1.0, 1.0
-        norm = a * self.base.partial_moment(0, a) - self.base.partial_moment(1, a)
-        if np.any(np.asarray(norm) <= 0.0):
-            raise DegenerateKernelError("k3 normaliser must be positive")
-        return 1.0, -1.0, a, a, norm
+        return 1.0, -1.0, a, a, a * self.base.partial_moment(0, a) - self.base.partial_moment(1, a)
 
     def support(self, alpha: float) -> tuple[float, float]:
         """Support interval of the left kernel at this cut point."""

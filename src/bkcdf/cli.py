@@ -22,7 +22,7 @@ from .analysis import (
     exact_mse_curve,
     mise_terms,
 )
-from .boundary import FAMILY_NAMES, BoundaryKernelFamily, DegenerateKernelError
+from .boundary import FAMILY_NAMES, BoundaryKernelFamily
 from .distributions import BetaMixture, Uniform, solve_params
 from .estimator import EstimatorConfig, evaluate_grid
 from .kernels import KERNEL_NAMES, BaseKernel
@@ -294,12 +294,7 @@ def main(argv=None) -> int:
         header, rows = args.func(args, BaseKernel(args.kernel), dist)
         _emit(header, rows, args.out)
         return 0
-    except (
-        NoOptimalBandwidthError,
-        DegenerateKernelError,
-        QuadratureError,
-        RootFindingError,
-    ) as exc:
+    except (NoOptimalBandwidthError, QuadratureError, RootFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -43,6 +43,8 @@ class Uniform:
     def __init__(self, a: float = 0.0, b: float = 1.0):
         if not -np.inf < a < b < np.inf:
             raise ValueError("need finite a < b")
+        if float(b) - float(a) == np.inf:
+            raise ValueError("b - a overflows")
         self.support = (float(a), float(b))
 
     def __repr__(self) -> str:

@@ -8,7 +8,7 @@ alone: the strip split, the classical blocks with their centres and Taylor
 rows, and each family's shape, window edges and Taylor rows per strip.
 ``Grid.evaluate`` does the rest for each sample: sort, binary searches,
 prefix power sums, gathers and a Horner sum over the cached rows.
-``evaluate_grid`` gives one estimator and ``boundary_cdf`` one point.
+``evaluate_grid`` gives one estimator.
 
 Each cumulative kernel is constant outside a window and a polynomial in
 it, so on the sorted sample the estimate is a count below the window plus
@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .boundary import BoundaryKernelFamily
+from .boundary import BoundaryKernelFamily, clip_alpha
 from .kernels import BaseKernel
 
 
@@ -55,6 +55,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if not -math.inf < self.a < self.b < math.inf:
             raise ValueError("need finite a < b")
+        if float(self.b) - float(self.a) == math.inf:
+            raise ValueError("b - a overflows")
         if not 0.0 < self.h <= 0.5 * (self.b - self.a):
             raise ValueError("bandwidth must satisfy 0 < h <= (b - a)/2")
         if self.family is not None and self.family.base != self.base:
@@ -150,7 +152,7 @@ class Grid:
             raise ValueError("grid must be one-dimensional")
         if not np.isfinite(xs).all():
             raise ValueError("grid points must be finite")
-        if xs.size > 1 and np.any(np.diff(xs) < 0.0):
+        if np.any(np.diff(xs) < 0.0):
             raise ValueError("grid must be sorted")
         self.cfg, self.families = cfg, list(families)
         if any(f is not None and f.base != cfg.base for f in self.families):
@@ -159,11 +161,8 @@ class Grid:
         left, right = self.left, self.right = (xs > a) & (xs < a + h), (xs > b - h) & (xs < b)
         self.mid = (xs >= a + h) & (xs <= b - h)
         self.blocks, self.pinned = _Blocks(cfg, xs), np.where(xs < b, 0.0, 1.0)
-        # the right strip reflected.  A strip point's alpha can round to 0 or
-        # 1; the estimate is within rounding of its limit at the smallest
-        # normal double (below it G(alpha) can round to 0) or the double below 1
-        inside = np.finfo(float).tiny, np.nextafter(1.0, 0.0)
-        alphas = (np.clip((xs[left] - a) / h, *inside), np.clip((b - xs[right]) / h, *inside))
+        # the right strip reflected
+        alphas = clip_alpha((xs[left] - a) / h), clip_alpha((b - xs[right]) / h)
         taylor = {}
         self.strips = [
             None if f is None else [_Strip(f, x, taylor) for x in alphas] for f in self.families
@@ -202,11 +201,6 @@ def evaluate_grid(values, cfg: EstimatorConfig, grid) -> np.ndarray:
     return Grid(grid, cfg, [cfg.family]).evaluate(values)[0]
 
 
-def boundary_cdf(values, cfg: EstimatorConfig, x: float) -> float:
-    """Boundary-corrected kernel CDF estimate at a single point."""
-    return float(evaluate_grid(values, cfg, [float(x)])[0])
-
-
 def is_proper(values, tol: float) -> bool:
     """True when the values stay in [-tol, 1+tol] and never step down by
     more than tol."""
@@ -215,4 +209,4 @@ def is_proper(values, tol: float) -> bool:
         return True
     if v.min() < -tol or v.max() > 1.0 + tol:
         return False
-    return bool(v.size == 1 or np.all(np.diff(v) >= -tol))
+    return bool(np.all(np.diff(v) >= -tol))

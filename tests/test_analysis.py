@@ -17,7 +17,7 @@ from bkcdf.analysis import (
 from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
 from bkcdf.distributions import BetaMixture, Uniform, solve_params
 from bkcdf.estimator import EstimatorConfig
-from bkcdf.kernels import BaseKernel
+from bkcdf.kernels import KERNEL_NAMES, BaseKernel
 
 EPAN = BaseKernel("epanechnikov")
 
@@ -237,3 +237,27 @@ def test_strip_functions_reject_alpha_outside_unit_interval(alpha):
         exact_variance(dist, cfg, alpha, 50)
     with pytest.raises(ValueError):
         exact_mse_curve(dist, cfg, 50, [0.5, alpha])
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+@pytest.mark.parametrize("base", [BaseKernel(name) for name in KERNEL_NAMES], ids=KERNEL_NAMES)
+@pytest.mark.parametrize(
+    "a, h, x, inward",
+    [
+        (-0.5299718244920308, 0.3630985316724597, 0.10692964383550947, np.inf),
+        (-0.6595526883608294, 0.48759947831232175, -0.17195321004850764, -np.inf),
+    ],
+    ids=["right", "left"],
+)
+def test_strip_point_whose_cut_point_rounds_to_one(a, h, x, inward, base, variant):
+    # a point inside the right (left) strip whose (b - x)/h ((x - a)/h)
+    # rounds to 1 raised "alpha must lie strictly inside (0, 1)"; the point
+    # one ulp further in has a cut point below 1
+    b = a + 1.0
+    assert a < x < a + h or b - h < x < b
+    assert 1.0 in ((b - x) / h, (x - a) / h)
+    cfg = EstimatorConfig(a, b, h, base, BoundaryKernelFamily(variant, base))
+    got = pointwise_error(Uniform(a, b), cfg, 50, x)
+    near = pointwise_error(Uniform(a, b), cfg, 50, np.nextafter(x, inward))
+    assert abs(got.bias - near.bias) <= 1e-15
+    assert abs(got.variance - near.variance) <= 1e-15

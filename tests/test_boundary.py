@@ -172,6 +172,18 @@ def test_mass_bounded():
     assert np.isfinite(sq) and sq < 1.0
 
 
+@pytest.mark.parametrize(
+    "base_name, floor", zip(KERNEL_NAMES, (1 / 4, 3 / 16, 5 / 32, 35 / 256)), ids=KERNEL_NAMES
+)
+def test_k3_normaliser_is_at_least_its_limit_at_zero(base_name, floor):
+    # alpha*P0(alpha) - P1(alpha) has derivative P0(alpha) > 0 and tends to
+    # the integral of u*K(u) over [0, 1] as alpha -> 0, so it never reaches 0
+    base = BaseKernel(base_name)
+    assert integrate(lambda u: u * base.density(u), 0.0, 1.0) == pytest.approx(floor, abs=1e-15)
+    alphas = np.concatenate([[1e-300], np.linspace(0.0, 1.0, 1001)[1:-1], [1.0 - 2.0**-53]])
+    assert np.all(fam("k3", base).shape(alphas)[4] >= floor)
+
+
 def test_k3_antiderivative_nondecreasing():
     f3 = fam("k3")
     grid = np.linspace(-1.5, 1.5, 601)

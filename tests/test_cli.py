@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -95,6 +97,7 @@ EST = ["estimate", "--data", "{tmp}/data.txt"]  # a two-point sample
         ),
         (EST + ["--a=-inf", "--b=1", "--h=0.2"], "need finite a < b"),
         (EST + ["--a=0", "--b=inf", "--h=0.2"], "need finite a < b"),
+        (EST + ["--a=-1.7e308", "--b=1.7e308", "--h=1e308", "--grid=3"], "b - a overflows"),
         (
             EST + ["--a=0", "--b=1", "--h=nan", "--family", "k1"],
             "bandwidth must satisfy 0 < h <= (b - a)/2",
@@ -471,3 +474,18 @@ def test_strip_coordinates_that_overflow_leak_no_warning(tmp_path, capsys):
         assert main(argv + ["--h", "1e-200", "--grid", "1", "--family", "k1"]) == 0
     assert caught == []
     assert capsys.readouterr() == ("x,Fhat\n0.0,0.0\n", "")
+
+
+def _readme_commands():
+    """The argv of each ``bkcdf`` command in the README's sh blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in lines.splitlines() if line.startswith("bkcdf ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_example_runs(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("sample.txt", np.random.default_rng(0).beta(2.0, 3.0, 200))
+    assert main(argv) == 0
+    assert re.fullmatch(r"\w+(,\w+)+", capsys.readouterr().out.split("\n")[0])

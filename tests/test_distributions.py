@@ -25,6 +25,13 @@ def test_constructor_validation():
         Uniform(1.0, 0.0)
 
 
+@pytest.mark.parametrize("num", [float, np.float64])
+def test_uniform_rejects_an_overflowing_width(num):
+    # cdf(0.0) was 0.0, not 0.5, and cdf(1e308) NaN with a warning
+    with pytest.raises(ValueError, match="b - a overflows"):
+        Uniform(num(-1.7e308), num(1.7e308))
+
+
 @pytest.mark.parametrize(
     "make, args",
     [
