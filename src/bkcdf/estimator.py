@@ -6,9 +6,10 @@ strips (a, a+h) and (b-h, b), pins 0 and 1 outside [a, b] and is
 classical in between.  It does the work that depends on the points
 alone: the strip split, the classical blocks with their centres and Taylor
 rows, and each family's shape, window edges and Taylor rows per strip.
-``Grid.evaluate`` does the rest for each sample: sort, binary searches,
-prefix power sums, gathers and a Horner sum over the cached rows.
-``evaluate_grid`` gives one estimator.
+``Grid.evaluate`` does the rest for each sample: sort, window counts,
+prefix power sums with one row per power, gathers from those rows and a
+Horner sum over the cached Taylor rows.  ``evaluate_grid`` gives one
+estimator.
 
 Each cumulative kernel is constant outside a window and a polynomial in
 it, so on the sorted sample the estimate is a count below the window plus
@@ -21,8 +22,11 @@ In the interior s = 1, c = (floor(x/h) + 1/2)*h, t = (x - c)/h, and each
 block of this lattice sums over its data within 3h/2 of c.  In a strip
 c = a, t*s = alpha, (s, lo, weight, norm) come from the family's ``shape``,
 and the window 0 <= y < alpha - lo is a prefix of the sample; the right
-strip reflects the data.  One sort and a binary search per point make
-O((n + m) log n) for n data and m points, not O(n*m).  The centring keeps
+strip reflects the data.  A window edge is counted by a binary search per
+point, or, when the data are fewer, by placing each datum among the sorted
+edges and summing; with the sort that makes O((n + m) log(n + m)) for n
+data and m points, not O(n*m).  The regions are runs of the sorted points,
+so each family's estimate is put together from slices.  The centring keeps
 |y| and |t| below 2, so no term exceeds the window count by more than a
 few hundred and the error stays near machine epsilon wherever the data
 lie; a block's sums depend only on the data, c and h, so a value has the
@@ -63,24 +67,45 @@ class EstimatorConfig:
             raise ValueError("the family must use the configured base kernel")
 
 
+def _count(data: np.ndarray, edges: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(data, edges, side) for sorted data and monotone edges.
+    When the data are the fewer, each datum is placed among the edges and the
+    counts are the running sum of how many land below each edge, which takes
+    O(n log m + m) for n data and m edges, not O(m log n)."""
+    if data.size >= edges.size:
+        return np.searchsorted(data, edges, side)
+    if edges[0] > edges[-1]:
+        return _count(data, edges[::-1], side)[::-1]
+    at = np.searchsorted(edges, data, "right" if side == "left" else "left")
+    return np.cumsum(np.bincount(at, minlength=edges.size + 1)[:-1])
+
+
 def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
-    """Row r holds sum_{i<r} y_i^k, k = 0..degree, compensated: the exact
-    error of each running addition (Knuth's two-sum) is added back, so long
-    runs do not drift by sqrt(run) ulps as a plain running sum does."""
-    powers = np.vander(y, degree + 1, increasing=True)
-    out = np.zeros((y.size + 1, degree + 1))
-    np.cumsum(powers, axis=0, out=out[1:])
-    added = out[1:] - out[:-1]
-    lost = (out[:-1] - (out[1:] - added)) + (powers - added)
-    out[1:] += np.cumsum(lost, axis=0)
+    """Row k, entry r holds sum_{i<r} y_i^k, k = 0..degree, compensated: the
+    exact error of each running addition (Knuth's two-sum) is added back, so
+    long runs do not drift by sqrt(run) ulps as a plain running sum does."""
+    powers = np.empty((degree + 1, y.size))
+    powers[0] = 1.0
+    for k in range(1, degree + 1):
+        np.multiply(powers[k - 1], y, out=powers[k])
+    out = np.zeros((degree + 1, y.size + 1))
+    np.cumsum(powers, axis=1, out=out[:, 1:])
+    added = out[:, 1:] - out[:, :-1]
+    lost = (out[:, :-1] - (out[:, 1:] - added)) + (powers - added)
+    out[:, 1:] += np.cumsum(lost, axis=1)
     return out
 
 
-def _horner(rows, s, sums: np.ndarray) -> np.ndarray:
-    """sum_k rows[k] * s^-k * sums[:, k], by Horner in 1/s."""
+def _horner(rows, s, sums: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """sum_k rows[k] * s^-k * sums[k][at], by Horner in 1/s; a scalar s = 1
+    divides nothing, as x/1 is x."""
+    unit = np.ndim(s) == 0 and s == 1.0
     acc = 0.0
     for k in range(len(rows) - 1, -1, -1):
-        acc = acc / s + rows[k] * sums[:, k]
+        term = sums[k][at]
+        term *= rows[k]
+        term += acc if unit else acc / s
+        acc = term
     return acc
 
 
@@ -91,29 +116,41 @@ class _Blocks:
     |x| < 2^52*h, so a smaller h at any point after that move is rejected."""
 
     def __init__(self, cfg: EstimatorConfig, xs: np.ndarray):
-        h = cfg.h
+        h = self.h = cfg.h
         xs = np.clip(xs, cfg.a - 2.0 * h, cfg.b + 2.0 * h)
         if np.any(np.abs(xs) * 2.0**-52 >= h):
             raise ValueError("bandwidth too small for the points: need |x| < 2**52 * h")
         j = np.floor(xs / h)
         c = (j + 0.5) * h
         starts = np.flatnonzero(np.diff(j, prepend=np.nan))
-        self.counts, self.h, self.xs = np.diff(starts, append=xs.size), h, xs
-        self.lo, self.hi = c[starts] - 1.5 * h, c[starts] + 1.5 * h
+        with np.errstate(over="ignore"):  # an edge that overflows still bounds the data
+            self.block_lo, self.block_hi = c[starts] - 1.5 * h, c[starts] + 1.5 * h
+            self.window_lo, self.window_hi = xs - h, xs + h
         self.spans = list(zip(starts.tolist(), [*starts[1:].tolist(), xs.size], c[starts].tolist()))
         self.rows = [P.polyval((xs - c) / h, row) for row in cfg.base.taylor]
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
-        first = np.repeat(np.searchsorted(data, self.lo), self.counts)
-        stop = np.repeat(np.searchsorted(data, self.hi, side="right"), self.counts)
-        # a window edge rounded past its block cuts off points where K is ~1 or ~0
-        below = np.clip(np.searchsorted(data, self.xs - self.h, side="right"), first, stop)
-        end = np.clip(np.searchsorted(data, self.xs + self.h), first, stop)
-        sums = np.zeros((end.size, len(self.rows)))
-        for i, e, c in self.spans:
-            q = _prefix_power_sums((data[first[i] : stop[i]] - c) / self.h, len(self.rows) - 1)
-            sums[i:e] = np.take(q, end[i:e] - first[i], 0) - np.take(q, below[i:e] - first[i], 0)
-        return (below + (0.5 * (end - below) + _horner(self.rows, 1.0, sums))) / data.size
+        firsts = _count(data, self.block_lo, "left").tolist()
+        stops = _count(data, self.block_hi, "right").tolist()
+        below = _count(data, self.window_lo, "right")
+        end = _count(data, self.window_hi, "left")
+        out = np.empty(below.size)
+        for (i, e, c), first, stop in zip(self.spans, firsts, stops):
+            # a window edge rounded past its block cuts off points where K is ~1 or ~0;
+            # lo and hi count from the block's first datum
+            lo = np.minimum(np.maximum(below[i:e] - first, 0), stop - first)
+            hi = np.minimum(np.maximum(end[i:e] - first, 0), stop - first)
+            q = _prefix_power_sums((data[first:stop] - c) / self.h, len(self.rows) - 1)
+            acc = 0.0
+            # one power at a time, in place: every difference at once measured slower
+            for row, qk in zip(self.rows[::-1], q[::-1]):
+                term = qk[hi]
+                term -= qk[lo]
+                term *= row[i:e]
+                term += acc
+                acc = term
+            out[i:e] = (lo + first) + (0.5 * (hi - lo) + acc)
+        return out / data.size
 
 
 class _Strip:
@@ -133,12 +170,13 @@ class _Strip:
         self.s = np.ldexp(s, power) if self.groups else s
 
     def __call__(self, near: np.ndarray, sums: np.ndarray, n: int) -> np.ndarray:
-        count = np.searchsorted(near, self.edge)
-        taken = np.take(sums, count, 0)
+        count = _count(near, self.edge, "left")
+        total = _horner(self.rows, self.s, sums, count)
         for p, at in self.groups:  # a window y < 2s holds y * 2^p < 2
-            y = np.ldexp(near[: count[at].max()], p)
-            taken[at] = np.take(_prefix_power_sums(y, len(self.rows) - 1), count[at], 0)
-        return self.w * (_horner(self.rows, self.s, taken) + count * self.g0) / self.norm / n
+            q = _prefix_power_sums(np.ldexp(near[: count[at].max()], p), len(self.rows) - 1)
+            rows = [r[at] if r.size > 1 else r for r in self.rows]
+            total[at] = _horner(rows, self.s[at], q, count[at])
+        return self.w * (total + count * self.g0) / self.norm / n
 
 
 class Grid:
@@ -158,8 +196,11 @@ class Grid:
         if any(f is not None and f.base != cfg.base for f in self.families):
             raise ValueError("families must use the grid's base kernel")
         a, b, h = cfg.a, cfg.b, cfg.h
-        left, right = self.left, self.right = (xs > a) & (xs < a + h), (xs > b - h) & (xs < b)
-        self.mid = (xs >= a + h) & (xs <= b - h)
+        # xs is sorted, so each region is a run: (a, a+h), [a+h, b-h] and (b-h, b)
+        i, k = np.searchsorted(xs, [a, b - h], "right").tolist()
+        j, l = np.searchsorted(xs, [a + h, b], "left").tolist()
+        left, right = self.left, self.right = slice(i, j), slice(k, l)
+        self.mid = slice(j, k)
         self.blocks, self.pinned = _Blocks(cfg, xs), np.where(xs < b, 0.0, 1.0)
         # the right strip reflected
         alphas = clip_alpha((xs[left] - a) / h), clip_alpha((b - xs[right]) / h)

@@ -241,6 +241,29 @@ def test_estimate_empty_file_reports_only_the_error(tmp_path):
     assert proc.stderr == "error: sample must be a non-empty one-dimensional collection\n"
 
 
+def test_estimate_with_overflowing_block_edges_prints_no_warning(tmp_path):
+    # a fresh process, so that a numpy warning would reach stderr
+    data = tmp_path / "data.txt"
+    data.write_text("0.0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(bkcdf.__file__).resolve().parents[1])}
+    argv = ["estimate", "--data", str(data), "--a=-8e307", "--b", "8e307", "--h", "8e307"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bkcdf.cli", *argv, "--grid", "5"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert [line.split(",")[1] for line in proc.stdout.split()[1:]] == [
+        "0.0",
+        "0.15625",
+        "0.5",
+        "0.84375",
+        "1.0",
+    ]
+
+
 def test_estimate_rejects_nan_data(tmp_path, capsys):
     data = tmp_path / "data.txt"
     data.write_text("0.2\nnan\n0.9\n")

@@ -10,6 +10,7 @@ from bkcdf.distributions import BetaMixture, replicate_rng
 from bkcdf.estimator import (
     EstimatorConfig,
     Grid,
+    _count,
     evaluate_grid,
     is_proper,
 )
@@ -472,3 +473,71 @@ def test_strip_coordinates_that_overflow_leak_no_warning(variant):
     # a y that large lies in no strip window, so the value was right all along
     cfg = EstimatorConfig(0.0, 1e300, 1e-200, EPAN, BoundaryKernelFamily(variant, EPAN))
     assert evaluate_grid([1e300], cfg, [0.0]).tolist() == [0.0]
+
+
+def test_block_edges_that_overflow_leak_no_warning():
+    # b - a is finite, but the block edge c + 1.5h = 1.2e308 + 1.2e308 is not;
+    # an infinite edge still bounds the data, so only the warning was wrong
+    grid = [-8e307, -4e307, 0.0, 4e307, 8e307]
+    cfg = EstimatorConfig(-8e307, 8e307, 8e307, EPAN)
+    assert evaluate_grid([0.0], cfg, grid).tolist() == [0.0, 0.15625, 0.5, 0.84375, 1.0]
+    cfg = EstimatorConfig(-8e307, 8e307, 8e307, EPAN, BoundaryKernelFamily("k1", EPAN))
+    assert evaluate_grid([0.0], cfg, grid).tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+
+# few values, so that ties and edges equal to data are common
+COUNTED = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+
+
+@pytest.mark.parametrize("n, m", [(3, 40), (40, 3), (6, 6), (0, 5), (1, 1)])
+@pytest.mark.parametrize("side", ["left", "right"])
+@PROPERTY
+@given(data=st.data(), descending=st.booleans())
+def test_count_matches_searchsorted(n, m, side, data, descending):
+    values = np.sort(data.draw(st.lists(COUNTED, min_size=n, max_size=n)))
+    edge = COUNTED | st.sampled_from([-np.inf, np.inf])
+    edges = np.sort(data.draw(st.lists(edge, min_size=m, max_size=m)))
+    edges = edges[::-1] if descending else edges
+    assert _count(values, edges, side).tolist() == np.searchsorted(values, edges, side).tolist()
+
+
+def region_of(x, a, b, h):
+    """The region of x: the open strips (a, a+h) and (b-h, b), the closed
+    middle [a+h, b-h] in between, else outside; a point in both strips takes
+    the right strip's value."""
+    if b - h < x < b:
+        return "right"
+    if a < x < a + h:
+        return "left"
+    return "mid" if a + h <= x <= b - h else "outside"
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+@pytest.mark.parametrize(
+    "a, b, half", [(0.0, 1.0, False), (0.1, 0.7, True), (-0.7, 2.2, True), (-0.3, 0.4, True)]
+)
+def test_region_split_at_the_region_edges(variant, a, b, half):
+    # at h = (b - a)/2 fl(a + h) can lie above fl(b - h), as 0.7500000000000002
+    # does above 0.75 for a = -0.7, b = 2.2, and a point between them is in both strips
+    h = 0.5 * (b - a) if half else 0.2
+    fam = BoundaryKernelFamily(variant, EPAN)
+    cfg = EstimatorConfig(a, b, h, EPAN, fam)
+    data = np.linspace(a, b, 7)
+    edges = [a, a + h, b - h, b]
+    xs = {np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)} | set(edges)
+    xs = np.array(sorted(xs | {a - 1.0, a - 0.5 * h, 0.5 * (a + b), b + 0.5 * h, b + 1.0}))
+    if a == -0.7:
+        assert any(a < x < a + h and b - h < x < b for x in xs)
+    # each strip alone, with the other strip moved 2h away; the classical middle
+    alone = {
+        "left": EstimatorConfig(a, b + 2.0 * h, h, EPAN, fam),
+        "right": EstimatorConfig(a - 2.0 * h, b, h, EPAN, fam),
+        "mid": EstimatorConfig(a, b, h, EPAN),
+    }
+    for x, v in zip(xs, evaluate_grid(data, cfg, xs)):
+        assert v == evaluate_grid(data, cfg, [x])[0]
+        region = region_of(x, a, b, h)
+        if region == "outside":
+            assert v == (0.0 if x < b else 1.0)
+        else:
+            assert v == evaluate_grid(data, alone[region], [x])[0], (x, region)
