@@ -35,8 +35,6 @@ from .kernels import KERNEL_NAMES, BaseKernel
 from .quadrature import (
     QuadSpec,
     QuadratureError,
-    RootFindingError,
-    find_root,
     integrate,
 )
 from .simulation import SimConfig, SimResult, run_ise, summarize

@@ -26,7 +26,7 @@ from .boundary import FAMILY_NAMES, BoundaryKernelFamily
 from .distributions import BetaMixture, Uniform, solve_params
 from .estimator import EstimatorConfig, evaluate_grid
 from .kernels import KERNEL_NAMES, BaseKernel
-from .quadrature import QuadratureError, RootFindingError
+from .quadrature import QuadratureError
 from .simulation import FAMILY_CHOICES, SimConfig, family_for, resolve_bandwidth, run_ise, summarize
 
 
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
         header, rows = args.func(args, BaseKernel(args.kernel), dist)
         _emit(header, rows, args.out)
         return 0
-    except (NoOptimalBandwidthError, QuadratureError, RootFindingError) as exc:
+    except (NoOptimalBandwidthError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

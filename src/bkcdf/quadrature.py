@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature and bracketed root finding.
+"""Adaptive Gauss-Legendre quadrature.
 
 Everything here is deterministic: identical inputs give bit-identical
 results, which the simulation layer relies on for reproducible output.
@@ -16,11 +16,6 @@ import numpy as np
 # at the known kinks.
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
-# find_root stops once the bracket is this narrow relative to max(1, |x|),
-# within the iteration budget
-_ROOT_X_TOL = 1e-13
-_ROOT_MAX_ITERS = 200
-
 
 class QuadratureError(RuntimeError):
     """Subdivision budget exhausted; carries the best estimate so far."""
@@ -29,10 +24,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-class RootFindingError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -122,59 +113,3 @@ def integrate(
             stack.append((m, b, right))
             stack.append((a, m, left))
     return result
-
-
-def find_root(f: Callable, lo, hi, level=0.0):
-    """x in [lo, hi] with f(x) = level, by bisection with secant acceleration.
-
-    lo, hi and level (finite) broadcast to one shape of independent lanes; f maps
-    an array of points to their values elementwise.  Each lane takes the
-    steps a lone bracket takes, so its root has the same bits whichever
-    lanes come with it, and only lanes still open are passed to f.  A
-    scalar call is one lane and returns a float.  Every lane needs a sign
-    change of f - level over its bracket; the iterate never leaves it.
-    """
-    lo, hi, level = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, level))
-    if not np.isfinite((lo, hi, level)).all():
-        raise ValueError("brackets and levels must be finite")
-    shape = lo.shape
-    lo, hi, level = lo.ravel(), hi.ravel(), level.ravel()
-    root = np.empty(lo.size)
-    lane = np.arange(lo.size)
-
-    def settle(done, x):
-        # record the finished lanes' roots and drop them from the open set
-        nonlocal lane, lo, hi, flo, fhi, level
-        if not done.any():
-            return
-        root[lane[done]] = x[done]
-        keep = ~done
-        lane, lo, hi, flo, fhi, level = (v[keep] for v in (lane, lo, hi, flo, fhi, level))
-
-    flo, fhi = np.asarray(f(lo), dtype=float) - level, np.empty(lo.size)
-    settle(flo == 0.0, lo)
-    if lane.size:
-        fhi = np.asarray(f(hi), dtype=float) - level
-        settle(fhi == 0.0, hi)
-    if np.any(flo * fhi > 0.0):
-        raise RootFindingError("no sign change over the bracket")
-
-    for it in range(_ROOT_MAX_ITERS):
-        width = _ROOT_X_TOL * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
-        settle(hi - lo <= width, 0.5 * (lo + hi))
-        if lane.size == 0:
-            break
-        x = 0.5 * (lo + hi)
-        if it % 2 == 0:
-            # secant step, kept only if it lands strictly inside the bracket
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = (lo * fhi - hi * flo) / (fhi - flo)
-            x = np.where((fhi != flo) & (lo < s) & (s < hi), s, x)
-        fx = np.asarray(f(x), dtype=float) - level
-        lower = flo * fx < 0.0
-        hi, fhi = np.where(lower, x, hi), np.where(lower, fx, fhi)
-        lo, flo = np.where(lower, lo, x), np.where(lower, flo, fx)
-        settle(fx == 0.0, x)
-    if lane.size:
-        raise RootFindingError("root finding did not converge")
-    return float(root[0]) if shape == () else root.reshape(shape)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from bkcdf.distributions import (
     replicate_rng,
     solve_params,
 )
-from bkcdf.quadrature import find_root
 
 # target (density, curvature) pairs at the left endpoint used throughout
 TARGETS = [(d1, d2) for d1 in (0.0, 0.5, 1.0, 1.5) for d2 in (6.0, 30.0)]
@@ -205,28 +205,19 @@ def test_batch_rows_equal_one_sample_per_generator(dist, n):
     assert dist.sample_batch([], n).shape == (0, n)
 
 
-def _one_draw_at_a_time(dist, rng, n):
-    # mixture choice, then one scalar inversion per B(2, b) draw
-    def cdf_b2(t, b=dist.shape_b):
-        if t <= 0.0:
-            return 0.0
-        if t >= 1.0:
-            return 1.0
-        return 1.0 - np.exp(b * np.log1p(-t)) * (1.0 + b * t)
-
-    choose_first = rng.random(n) < dist.w
-    u = rng.random(n)
-    out = 1.0 - np.sqrt(1.0 - u)
-    for i in np.flatnonzero(~choose_first):
-        out[i] = find_root(lambda t: cdf_b2(float(t[0])) - u[i], 0.0, 1.0)
-    return out
-
-
-@pytest.mark.parametrize("dist", [d for d in BATCH_DISTS if isinstance(d, BetaMixture)], ids=repr)
-def test_batch_draws_equal_one_inversion_per_draw(dist):
-    rows = dist.sample_batch([replicate_rng(5, r) for r in range(40)], 50)
+@pytest.mark.parametrize("w", [0.0, 0.3, 0.75])
+@pytest.mark.parametrize("b", [2, 5])
+def test_b2_draws_invert_the_exact_cdf(w, b):
+    # each B(2, b) draw x of u has F(x) within 1e-15 of u, with F computed
+    # exactly in rationals over the double x
+    rows = BetaMixture(w, b).sample_batch([replicate_rng(5, r) for r in range(40)], 50)
     for r, row in enumerate(rows):
-        assert row.tobytes() == _one_draw_at_a_time(dist, replicate_rng(5, r), 50).tobytes()
+        rng = replicate_rng(5, r)
+        second = rng.random(50) >= w
+        u = rng.random(50)
+        for x, ui in zip(row[second].tolist(), u[second].tolist()):
+            x = Fraction(x)
+            assert abs(1 - (1 - x) ** b * (1 + b * x) - Fraction(ui)) <= 1e-15
 
 
 def test_batch_checks_n():

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from bkcdf.quadrature import (
-    QuadSpec,
-    QuadratureError,
-    RootFindingError,
-    find_root,
-    integrate,
-)
+from bkcdf.quadrature import QuadSpec, QuadratureError, integrate
 
 
 def test_constant():
@@ -90,122 +84,6 @@ def test_spec_validation():
         QuadSpec(max_subdivisions=0)
 
 
-def test_root_linear():
-    assert find_root(lambda x: x - 0.5, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_root_quadratic():
-    assert find_root(lambda x: x**2 - 0.25, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_root_beta22_median():
-    f = lambda x: 3.0 * x**2 - 2.0 * x**3 - 0.5
-    assert find_root(f, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_root_far_from_zero():
-    # the stopping width grows with |x|: an absolute 1e-13 is below the
-    # spacing of doubles near 1414, where the bracket could never close
-    assert find_root(lambda x: x * x - 2e6, 1000.0, 2000.0) == pytest.approx(2e6**0.5, rel=1e-12)
-
-
-def test_root_no_sign_change():
-    with pytest.raises(RootFindingError):
-        find_root(lambda x: x + 1.0, 0.0, 1.0)
-
-
-def test_root_endpoint_hit():
-    assert find_root(lambda x: x, 0.0, 1.0) == 0.0
-
-
-def test_root_stays_bracketed_and_small_residual():
-    for c in (0.1, 0.37, 0.9):
-        f = lambda x, c=c: np.tanh(3.0 * (x - c))
-        r = find_root(f, 0.0, 1.0)
-        assert 0.0 <= r <= 1.0
-        # |f'| <= 3, bracket width <= 1e-12
-        assert abs(f(r)) <= 3.0 * 1e-12 + 1e-15
-
-
-def _one_bracket_root(f, lo, hi):
-    # the bracket loop find_root runs in each lane, written for one bracket
-    # of Python floats as a reference
-    flo = float(f(lo))
-    if flo == 0.0:
-        return lo
-    fhi = float(f(hi))
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise RootFindingError("no sign change over the bracket")
-    for it in range(200):
-        if hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-        x = 0.5 * (lo + hi)
-        if it % 2 == 0 and fhi != flo:
-            s = (lo * fhi - hi * flo) / (fhi - flo)
-            if lo < s < hi:
-                x = s
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-    raise RootFindingError("root finding did not converge")
-
-
-def _monotone(x):
-    # x * x * x, not x**3: Python's float power and numpy's array power can
-    # differ in the last bit, and the reference calls f on Python floats
-    return np.tanh(x) + x * x * x / 50.0
-
-
-def _random_brackets(seed, size):
-    # levels strictly inside each bracket's range, then one lane whose level
-    # is f(lo), one whose level is f(hi) and one exactly at a secant root
-    rng = np.random.default_rng(seed)
-    lo = rng.uniform(-2000.0, 5.0, size)
-    hi = lo + 10.0 ** rng.uniform(-12.0, 3.5, size)
-    level = _monotone(lo + rng.uniform(0.0, 1.0, size) * (hi - lo))
-    level[:3] = _monotone(lo[0]), _monotone(hi[1]), 0.0
-    lo[2], hi[2] = -1.0, 1.0
-    return lo, hi, level
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_lanes_equal_one_call_per_bracket(seed):
-    lo, hi, level = _random_brackets(seed, 300)
-    roots = find_root(_monotone, lo, hi, level)
-    assert roots.shape == lo.shape
-    assert roots[0] == lo[0] and roots[1] == hi[1]
-    for i in range(lo.size):
-        alone = find_root(_monotone, lo[i], hi[i], level[i])
-        assert isinstance(alone, float)
-        ref = _one_bracket_root(lambda x: _monotone(x) - level[i], float(lo[i]), float(hi[i]))
-        assert np.float64(alone).tobytes() == roots[i].tobytes() == np.float64(ref).tobytes()
-
-
-def test_lanes_keep_their_shape_and_broadcast():
-    lo, hi, level = _random_brackets(9, 12)
-    roots = find_root(_monotone, lo.reshape(3, 4), hi.reshape(3, 4), level.reshape(3, 4))
-    assert np.array_equal(roots, find_root(_monotone, lo, hi, level).reshape(3, 4))
-    u = np.array([0.1, 0.5, 0.9])
-    alone = [find_root(lambda x: x * x - v, 0.0, 1.0) for v in u]
-    assert np.array_equal(find_root(lambda x: x * x, 0.0, 1.0, u), alone)
-    assert find_root(_monotone, np.empty(0), np.empty(0)).shape == (0,)
-
-
-def test_lanes_without_a_sign_change_raise():
-    lo, hi, level = _random_brackets(3, 20)
-    level[7] = _monotone(hi[7]) + 1.0
-    with pytest.raises(RootFindingError, match="no sign change"):
-        find_root(_monotone, lo, hi, level)
-    with pytest.raises(RootFindingError, match="no sign change"):
-        find_root(_monotone, lo[7], hi[7], level[7])
-
-
 @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (np.nan, 1.0)])
 def test_non_finite_bounds_are_rejected(lo, hi):
     # (0, inf) returned NaN, and (0, nan) spent the whole budget first
@@ -220,15 +98,3 @@ def test_non_finite_bounds_are_rejected(lo, hi):
 def test_non_finite_tolerances_are_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
         QuadSpec(**{field: value})
-
-
-@pytest.mark.parametrize(
-    "lo, hi, level",
-    [(0.0, 1.0, np.nan), (0.0, 1.0, np.inf), (np.nan, 1.0, 0.5), (0.0, np.inf, 0.5)],
-)
-def test_root_rejects_non_finite_brackets_and_levels(lo, hi, level):
-    # level nan returned 0.9999999999999716
-    with pytest.raises(ValueError, match="finite"):
-        find_root(lambda x: x, lo, hi, level)
-    with pytest.raises(ValueError, match="finite"):
-        find_root(lambda x: x, np.array([0.0, lo]), np.array([1.0, hi]), np.array([0.5, level]))
