@@ -113,7 +113,8 @@ class _Blocks:
     """The classical estimate at the sorted points xs, called on a sorted sample
     within [a, b] of cfg.  A point beyond a - 2h or b + 2h moves there, where the estimate
     is its exact 0 or 1.  A block centre (floor(x/h) + 1/2)*h keeps its 1/2 only while
-    |x| < 2^52*h, so a smaller h at any point after that move is rejected."""
+    |x| < 2^52*h, so a smaller h at any point after that move is rejected, as is a centre
+    that overflows (within h/2 of the largest double)."""
 
     def __init__(self, cfg: EstimatorConfig, xs: np.ndarray):
         h = self.h = cfg.h
@@ -121,7 +122,10 @@ class _Blocks:
         if np.any(np.abs(xs) * 2.0**-52 >= h):
             raise ValueError("bandwidth too small for the points: need |x| < 2**52 * h")
         j = np.floor(xs / h)
-        c = (j + 0.5) * h
+        with np.errstate(over="ignore"):
+            c = (j + 0.5) * h
+        if not np.isfinite(c).all():
+            raise ValueError("a block centre (floor(x/h) + 1/2)*h overflows at the points")
         starts = np.flatnonzero(np.diff(j, prepend=np.nan))
         with np.errstate(over="ignore"):  # an edge that overflows still bounds the data
             self.block_lo, self.block_hi = c[starts] - 1.5 * h, c[starts] + 1.5 * h

@@ -499,6 +499,23 @@ def test_strip_coordinates_that_overflow_leak_no_warning(tmp_path, capsys):
     assert capsys.readouterr() == ("x,Fhat\n0.0,0.0\n", "")
 
 
+def test_estimate_at_an_overflowing_block_centre_exits_2(tmp_path):
+    # it printed 1.7e+308,nan after two numpy warnings and exited 0
+    data = tmp_path / "data.txt"
+    data.write_text("0.0\n1.7e308\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(bkcdf.__file__).resolve().parents[1])}
+    argv = ["estimate", "--data", str(data), "--a", "0", "--b", "1.7e308", "--h", "8.5e307"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bkcdf.cli", *argv, "--grid", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: a block centre (floor(x/h) + 1/2)*h overflows at the points\n"
+
+
 def _readme_commands():
     """The argv of each ``bkcdf`` command in the README's sh blocks."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -485,6 +485,14 @@ def test_block_edges_that_overflow_leak_no_warning():
     assert evaluate_grid([0.0], cfg, grid).tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
 
 
+def test_block_centre_that_overflows_is_rejected():
+    # x = 1.7e308 lies in the block centred at 2.5h = 2.125e308, which is not a
+    # double; the estimate there was NaN after two RuntimeWarnings
+    cfg = EstimatorConfig(0.0, 1.7e308, 8.5e307, EPAN)
+    with pytest.raises(ValueError, match="block centre"):
+        evaluate_grid([0.0, 1.7e308], cfg, [0.0, 8.5e307, 1.7e308])
+
+
 # few values, so that ties and edges equal to data are common
 COUNTED = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0)
 
