@@ -19,7 +19,8 @@ a centre c and S_k = sum y_i^k over the window,
     sum_i G((t*s - y_i)/s) = sum_k (-1)^k G^(k)(t)/k! * s^-k * S_k.
 
 In the interior s = 1, c = (floor(x/h) + 1/2)*h, t = (x - c)/h, and each
-block of this lattice sums over its data within 3h/2 of c.  In a strip
+block of this lattice sums over its data within 3h/2 of c, the window
+being t - 1 < y < t + 1 in those same coordinates.  In a strip
 c = a, t*s = alpha, (s, lo, weight, norm) come from the family's ``shape``,
 and the window 0 <= y < alpha - lo is a prefix of the sample; the right
 strip reflects the data.  A window edge is counted by a binary search per
@@ -122,29 +123,27 @@ class _Blocks:
         if np.any(np.abs(xs) * 2.0**-52 >= h):
             raise ValueError("bandwidth too small for the points: need |x| < 2**52 * h")
         j = np.floor(xs / h)
-        with np.errstate(over="ignore"):
-            c = (j + 0.5) * h
-        if not np.isfinite(c).all():
-            raise ValueError("a block centre (floor(x/h) + 1/2)*h overflows at the points")
         starts = np.flatnonzero(np.diff(j, prepend=np.nan))
         with np.errstate(over="ignore"):  # an edge that overflows still bounds the data
+            c = (j + 0.5) * h
             self.block_lo, self.block_hi = c[starts] - 1.5 * h, c[starts] + 1.5 * h
-            self.window_lo, self.window_hi = xs - h, xs + h
+        if not np.isfinite(c).all():
+            raise ValueError("a block centre (floor(x/h) + 1/2)*h overflows at the points")
         self.spans = list(zip(starts.tolist(), [*starts[1:].tolist(), xs.size], c[starts].tolist()))
-        self.rows = [P.polyval((xs - c) / h, row) for row in cfg.base.taylor]
+        t = (xs - c) / h
+        self.rows = [P.polyval(t, row) for row in cfg.base.taylor]
+        self.t_lo, self.t_hi = t - 1.0, t + 1.0
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         firsts = _count(data, self.block_lo, "left").tolist()
         stops = _count(data, self.block_hi, "right").tolist()
-        below = _count(data, self.window_lo, "right")
-        end = _count(data, self.window_hi, "left")
-        out = np.empty(below.size)
+        out = np.empty(self.t_lo.size)
         for (i, e, c), first, stop in zip(self.spans, firsts, stops):
-            # a window edge rounded past its block cuts off points where K is ~1 or ~0;
+            # the window t - 1 < y < t + 1, in the coordinates the Taylor rows use;
             # lo and hi count from the block's first datum
-            lo = np.minimum(np.maximum(below[i:e] - first, 0), stop - first)
-            hi = np.minimum(np.maximum(end[i:e] - first, 0), stop - first)
-            q = _prefix_power_sums((data[first:stop] - c) / self.h, len(self.rows) - 1)
+            y = (data[first:stop] - c) / self.h
+            lo, hi = _count(y, self.t_lo[i:e], "right"), _count(y, self.t_hi[i:e], "left")
+            q = _prefix_power_sums(y, len(self.rows) - 1)
             acc = 0.0
             # one power at a time, in place: every difference at once measured slower
             for row, qk in zip(self.rows[::-1], q[::-1]):

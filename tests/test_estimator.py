@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -491,6 +492,38 @@ def test_block_centre_that_overflows_is_rejected():
     cfg = EstimatorConfig(0.0, 1.7e308, 8.5e307, EPAN)
     with pytest.raises(ValueError, match="block centre"):
         evaluate_grid([0.0, 1.7e308], cfg, [0.0, 8.5e307, 1.7e308])
+
+
+# ascending coefficients of each density on [-1, 1], as exact rationals
+EXACT_DENSITY = {
+    "uniform": [Fraction(1, 2)],
+    "epanechnikov": [Fraction(3, 4), 0, Fraction(-3, 4)],
+    "biweight": [Fraction(c, 16) for c in (15, 0, -30, 0, 15)],
+    "triweight": [Fraction(c, 32) for c in (35, 0, -105, 0, 105, 0, -35)],
+}
+
+
+def _exact_kbar(name, u):
+    u = min(max(u, Fraction(-1)), Fraction(1))
+    coeffs = EXACT_DENSITY[name]
+    return sum(c * (u ** (k + 1) - (-1) ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_a_datum_on_one_window_edge_far_from_0(name, side):
+    # data at x and at fl(x + side*h), x ~ 2^45 h: membership decided against
+    # fl(x +- h) counted such a datum fully in or out, an error of up to 1.6e-3
+    # here (uniform); the edges' errors cancel when both carry a datum
+    rng = np.random.default_rng(45)
+    for _ in range(50):
+        h = rng.uniform(0.3, 0.7)
+        x = rng.uniform(1.0, 2.0) * 2.0**45 * h
+        data = [x, x + side * h]
+        cfg = EstimatorConfig(x - 4.0 * h, x + 4.0 * h, h, BaseKernel(name))
+        got = evaluate_grid(data, cfg, [x])[0]
+        u = [(Fraction(x) - Fraction(d)) / Fraction(h) for d in data]
+        assert abs(Fraction(got) - sum(_exact_kbar(name, v) for v in u) / 2) <= 1e-14
 
 
 # few values, so that ties and edges equal to data are common
