@@ -124,7 +124,8 @@ class _Blocks:
             raise ValueError("bandwidth too small for the points: need |x| < 2**52 * h")
         j = np.floor(xs / h)
         starts = np.flatnonzero(np.diff(j, prepend=np.nan))
-        with np.errstate(over="ignore"):  # an edge that overflows still bounds the data
+        # an edge that overflows still bounds the data; a centre that does is rejected
+        with np.errstate(over="ignore"):
             c = (j + 0.5) * h
             self.block_lo, self.block_hi = c[starts] - 1.5 * h, c[starts] + 1.5 * h
         if not np.isfinite(c).all():
