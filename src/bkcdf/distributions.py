@@ -148,8 +148,9 @@ class BetaMixture:
 
     def sample_batch(self, rngs, n: int) -> np.ndarray:
         """n variates per generator: mixture choice, then inversion of the
-        chosen component.  A B(2, b) draw bisects [0, 1] 64 times, to the last
-        bit of its quantile; F(0) = 0 <= u < 1 = F(1), so it cannot fail."""
+        chosen component.  A B(2, b) draw bisects [0, 1] 64 times, to within
+        2^-64 or one ulp of its quantile; F(0) = 0 <= u < 1 = F(1), so it
+        cannot fail."""
         if n < 1:
             raise ValueError("need n >= 1")
         draws = np.array([(rng.random(n), rng.random(n)) for rng in rngs]).reshape(-1, 2, n)
