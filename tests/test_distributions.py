@@ -205,6 +205,48 @@ def test_batch_rows_equal_one_sample_per_generator(dist, n):
     assert dist.sample_batch([], n).shape == (0, n)
 
 
+def _one_draw_at_a_time(dist, rng, n):
+    # mixture choice, then one scalar 64-step bisection per B(2, b) draw
+    def cdf_b2(t, b=dist.shape_b):
+        return 1.0 - (np.exp(b * np.log1p(-t)) if t < 1.0 else 0.0) * (1.0 + b * t)
+
+    choose_first = rng.random(n) < dist.w
+    u = rng.random(n)
+    out = 1.0 - np.sqrt(1.0 - u)
+    for i in np.flatnonzero(~choose_first):
+        lo, hi = 0.0, 1.0
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if cdf_b2(mid) < u[i]:
+                lo = mid
+            else:
+                hi = mid
+        out[i] = 0.5 * (lo + hi)
+    return out
+
+
+@pytest.mark.parametrize("dist", [d for d in BATCH_DISTS if isinstance(d, BetaMixture)], ids=repr)
+def test_batch_draws_equal_one_inversion_per_draw(dist):
+    rows = dist.sample_batch([replicate_rng(5, r) for r in range(40)], 50)
+    for r, row in enumerate(rows):
+        assert row.tobytes() == _one_draw_at_a_time(dist, replicate_rng(5, r), 50).tobytes()
+
+
+@pytest.mark.parametrize("b", [2.0, 5.0, 37.3])
+def test_b2_draws_rise_with_their_uniform(b):
+    # for a fixed midpoint F(mid) < u holds for every larger u too, so the
+    # bisection is monotone: sorting the draws by u leaves them sorted
+    rows = BetaMixture(0.0, b).sample_batch([replicate_rng(9, r) for r in range(20)], 50)
+    u = []
+    for r in range(20):
+        rng = replicate_rng(9, r)
+        rng.random(50)  # the mixture choices
+        u.append(rng.random(50))
+    x = rows.ravel()[np.argsort(np.concatenate(u), kind="stable")]
+    assert np.all(np.diff(x) >= 0.0)
+    assert 0.0 < x.min() and x.max() < 1.0
+
+
 @pytest.mark.parametrize("w", [0.0, 0.3, 0.75])
 @pytest.mark.parametrize("b", [2, 5])
 def test_b2_draws_invert_the_exact_cdf(w, b):
