@@ -11,6 +11,7 @@ import pytest
 
 import bkcdf
 from bkcdf.cli import main
+from test_cli_golden import assert_matches_golden
 
 
 def read_csv(path):
@@ -18,6 +19,12 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def run_fresh(*args):
+    """``python ARGS`` in a fresh process that imports bkcdf from this tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bkcdf.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def test_bandwidth_value(tmp_path):
@@ -231,11 +238,8 @@ def test_estimate_empty_file_reports_only_the_error(tmp_path):
     # instead of printing it
     empty = tmp_path / "empty.txt"
     empty.write_text("")
-    env = {**os.environ, "PYTHONPATH": str(Path(bkcdf.__file__).resolve().parents[1])}
     argv = ["estimate", "--data", str(empty), "--a", "0", "--b", "1", "--h", "0.2"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "bkcdf.cli", *argv], capture_output=True, text=True, env=env
-    )
+    proc = run_fresh("-m", "bkcdf.cli", *argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: sample must be a non-empty one-dimensional collection\n"
@@ -245,14 +249,8 @@ def test_estimate_with_overflowing_block_edges_prints_no_warning(tmp_path):
     # a fresh process, so that a numpy warning would reach stderr
     data = tmp_path / "data.txt"
     data.write_text("0.0\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(bkcdf.__file__).resolve().parents[1])}
     argv = ["estimate", "--data", str(data), "--a=-8e307", "--b", "8e307", "--h", "8e307"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "bkcdf.cli", *argv, "--grid", "5"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_fresh("-m", "bkcdf.cli", *argv, "--grid", "5")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert [line.split(",")[1] for line in proc.stdout.split()[1:]] == [
@@ -426,6 +424,22 @@ def test_simulate_and_rerun_identical(tmp_path):
     assert len(srows) == 2 * 3
 
 
+def test_files_written_by_a_fresh_process_are_complete(tmp_path):
+    # the CLI freezes its import-time heap, and frozen objects get no
+    # finalizer at exit: a write that waited for one would be lost here
+    argv = ["-m", "bkcdf.cli", "simulate", "--w", "0.75", "--b", "5", "--n", "20"]
+    argv += ["--reps", "3", "--seed", "1"]
+    out, summary = tmp_path / "simulate.csv", tmp_path / "simulate_summary.csv"
+    to_files = run_fresh(*argv, "--out", str(out), "--summary-out", str(summary))
+    to_stdout = run_fresh(*argv, "--summary-out", str(tmp_path / "again.csv"))
+    assert to_files.returncode == to_stdout.returncode == 0
+    assert to_files.stdout == to_files.stderr == to_stdout.stderr == ""
+    assert out.read_bytes() == to_stdout.stdout.encode()
+    assert summary.read_bytes() == (tmp_path / "again.csv").read_bytes()
+    for path in (out, summary):
+        assert_matches_golden(path)
+
+
 def test_simulate_unwritable_summary_path(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert main(simulate_args(out, tmp_path / "no-such-dir" / "sum.csv")) == 2
@@ -524,3 +538,12 @@ def test_readme_example_runs(tmp_path, monkeypatch, capsys, argv):
     np.savetxt("sample.txt", np.random.default_rng(0).beta(2.0, 3.0, 200))
     assert main(argv) == 0
     assert re.fullmatch(r"\w+(,\w+)+", capsys.readouterr().out.split("\n")[0])
+
+
+@pytest.mark.parametrize("module, frozen", [("bkcdf", False), ("bkcdf.cli", True)])
+def test_only_the_cli_freezes_the_heap(module, frozen):
+    # a library user's heap is left alone; the CLI freezes what its imports
+    # leave, so that exit neither walks nor tears down numpy's objects
+    proc = run_fresh("-c", f"import gc, {module}; print(gc.get_freeze_count())")
+    assert proc.returncode == 0, proc.stderr
+    assert (int(proc.stdout) > 0) == frozen

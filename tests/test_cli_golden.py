@@ -70,15 +70,20 @@ def test_output_matches_golden(name, tmp_path):
     written = sorted(tmp_path.glob("*.csv"))
     assert written
     for path in written:
-        header, rows = read_csv(path)
-        ref_header, ref_rows = read_csv(GOLDEN / path.name)
-        assert header == ref_header
-        assert len(rows) == len(ref_rows)
-        for row, ref in zip(rows, ref_rows):
-            for column, got, want in zip(header, row, ref):
-                if column in KEY_COLUMNS:
-                    assert got == want, (path.name, column)
-                else:
-                    got, want = float(got), float(want)
-                    bound = REL_TOL * abs(want) + ABS_TOL
-                    assert abs(got - want) <= bound, (path.name, column, got, want)
+        assert_matches_golden(path)
+
+
+def assert_matches_golden(path):
+    """The CSV at ``path`` matches its namesake in ``tests/golden``."""
+    header, rows = read_csv(path)
+    ref_header, ref_rows = read_csv(GOLDEN / path.name)
+    assert header == ref_header
+    assert len(rows) == len(ref_rows)
+    for row, ref in zip(rows, ref_rows):
+        for column, got, want in zip(header, row, ref):
+            if column in KEY_COLUMNS:
+                assert got == want, (path.name, column)
+            else:
+                got, want = float(got), float(want)
+                bound = REL_TOL * abs(want) + ABS_TOL
+                assert abs(got - want) <= bound, (path.name, column, got, want)

@@ -188,7 +188,7 @@ BATCH_DISTS = [
     BetaMixture(0.0, 2.0),
     BetaMixture(1.0, 2.0),
     BetaMixture(0.3, 2.0),
-    solve_params(1.5, 6.0),
+    BetaMixture(0.4, 2.5),
     solve_params(0.5, 30.0),
     Uniform(),
     Uniform(-2.0, 3.5),
