@@ -23,15 +23,19 @@ block of this lattice sums over its data within 3h/2 of c, the window
 being t - 1 < y < t + 1 in those same coordinates.  In a strip
 c = a, t*s = alpha, (s, lo, weight, norm) come from the family's ``shape``,
 and the window 0 <= y < alpha - lo is a prefix of the sample; the right
-strip reflects the data.  A window edge is counted by a binary search per
-point, or, when the data are fewer, by placing each datum among the sorted
-edges and summing; with the sort that makes O((n + m) log(n + m)) for n
-data and m points, not O(n*m).  The regions are runs of the sorted points,
-so each family's estimate is put together from slices.  The centring keeps
-|y| and |t| below 2, so no term exceeds the window count by more than a
-few hundred and the error stays near machine epsilon wherever the data
-lie; a block's sums depend only on the data, c and h, so a value has the
-same bits whichever points come with it.
+strip reflects the data and holds its points in reverse, so that its alpha
+ascends as the left strip's does and every counted edge ascends.  A window
+edge is counted by a binary search per point, or, when the data are fewer,
+by placing each datum among the edges and summing; with the sort that makes
+O((n + m) log(n + m)) for n data and m points, not O(n*m).  One Horner
+routine sums every window, block or strip, from the difference of two prefix
+sums per power (a strip's lower one is the empty prefix, exactly 0).  The
+regions are runs of the sorted points, so each family's estimate is put
+together from slices.  The centring keeps |y| and |t| below 2, so no term
+exceeds the window count by more than a few hundred and the error stays
+near machine epsilon wherever the data lie; a block's sums depend only on
+the data, c and h, so a value has the same bits whichever points come with
+it.
 """
 
 from __future__ import annotations
@@ -69,14 +73,12 @@ class EstimatorConfig:
 
 
 def _count(data: np.ndarray, edges: np.ndarray, side: str) -> np.ndarray:
-    """np.searchsorted(data, edges, side) for sorted data and monotone edges.
+    """np.searchsorted(data, edges, side) for sorted data and ascending edges.
     When the data are the fewer, each datum is placed among the edges and the
     counts are the running sum of how many land below each edge, which takes
     O(n log m + m) for n data and m edges, not O(m log n)."""
     if data.size >= edges.size:
         return np.searchsorted(data, edges, side)
-    if edges[0] > edges[-1]:
-        return _count(data, edges[::-1], side)[::-1]
     at = np.searchsorted(edges, data, "right" if side == "left" else "left")
     return np.cumsum(np.bincount(at, minlength=edges.size + 1)[:-1])
 
@@ -97,13 +99,15 @@ def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _horner(rows, s, sums: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """sum_k rows[k] * s^-k * sums[k][at], by Horner in 1/s; a scalar s = 1
-    divides nothing, as x/1 is x."""
+def _horner(rows, s, sums: np.ndarray, lo, hi: np.ndarray) -> np.ndarray:
+    """sum_k rows[k] * s^-k * (sums[k][hi] - sums[k][lo]), by Horner in 1/s, one
+    power at a time and in place (every difference at once measured slower); a
+    scalar s = 1 divides nothing, as x/1 is x."""
     unit = np.ndim(s) == 0 and s == 1.0
     acc = 0.0
     for k in range(len(rows) - 1, -1, -1):
-        term = sums[k][at]
+        term = sums[k][hi]
+        term -= sums[k][lo]
         term *= rows[k]
         term += acc if unit else acc / s
         acc = term
@@ -130,29 +134,22 @@ class _Blocks:
             self.block_lo, self.block_hi = c[starts] - 1.5 * h, c[starts] + 1.5 * h
         if not np.isfinite(c).all():
             raise ValueError("a block centre (floor(x/h) + 1/2)*h overflows at the points")
-        self.spans = list(zip(starts.tolist(), [*starts[1:].tolist(), xs.size], c[starts].tolist()))
         t = (xs - c) / h
-        self.rows = [P.polyval(t, row) for row in cfg.base.taylor]
+        rows = [P.polyval(t, row) for row in cfg.base.taylor]
         self.t_lo, self.t_hi = t - 1.0, t + 1.0
+        bounds = zip(starts.tolist(), [*starts[1:].tolist(), xs.size], c[starts].tolist())
+        self.spans = [(i, e, centre, [r[i:e] for r in rows]) for i, e, centre in bounds]
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
         firsts = _count(data, self.block_lo, "left").tolist()
         stops = _count(data, self.block_hi, "right").tolist()
         out = np.empty(self.t_lo.size)
-        for (i, e, c), first, stop in zip(self.spans, firsts, stops):
+        for (i, e, c, rows), first, stop in zip(self.spans, firsts, stops):
             # the window t - 1 < y < t + 1, in the coordinates the Taylor rows use;
             # lo and hi count from the block's first datum
             y = (data[first:stop] - c) / self.h
             lo, hi = _count(y, self.t_lo[i:e], "right"), _count(y, self.t_hi[i:e], "left")
-            q = _prefix_power_sums(y, len(self.rows) - 1)
-            acc = 0.0
-            # one power at a time, in place: every difference at once measured slower
-            for row, qk in zip(self.rows[::-1], q[::-1]):
-                term = qk[hi]
-                term -= qk[lo]
-                term *= row[i:e]
-                term += acc
-                acc = term
+            acc = _horner(rows, 1.0, _prefix_power_sums(y, len(rows) - 1), lo, hi)
             out[i:e] = (lo + first) + (0.5 * (hi - lo) + acc)
         return out / data.size
 
@@ -165,7 +162,6 @@ class _Strip:
         s, lo, _, self.w, self.norm = fam.shape(alpha)
         self.edge, self.g0 = alpha - lo, fam.base.odd_part(-lo / s)
         t = alpha / s  # alpha for k1 and k3, which share their rows; exactly 1 for k2
-        t = t[:1] if np.all(t == t[:1]) else t
         key = t.tobytes()
         self.rows = taylor[key] = taylor.get(key) or [P.polyval(t, row) for row in fam.base.taylor]
         # s^deg underflows (k2 near a): sum (y * 2^p)^k, divide by s * 2^p in [1/2, 1)
@@ -175,11 +171,11 @@ class _Strip:
 
     def __call__(self, near: np.ndarray, sums: np.ndarray, n: int) -> np.ndarray:
         count = _count(near, self.edge, "left")
-        total = _horner(self.rows, self.s, sums, count)
+        # each window is a prefix, and sums[k][0] is exactly 0
+        total = _horner(self.rows, self.s, sums, 0, count)
         for p, at in self.groups:  # a window y < 2s holds y * 2^p < 2
             q = _prefix_power_sums(np.ldexp(near[: count[at].max()], p), len(self.rows) - 1)
-            rows = [r[at] if r.size > 1 else r for r in self.rows]
-            total[at] = _horner(rows, self.s[at], q, count[at])
+            total[at] = _horner([r[at] for r in self.rows], self.s[at], q, 0, count[at])
         return self.w * (total + count * self.g0) / self.norm / n
 
 
@@ -206,8 +202,8 @@ class Grid:
         left, right = self.left, self.right = slice(i, j), slice(k, l)
         self.mid = slice(j, k)
         self.blocks, self.pinned = _Blocks(cfg, xs), np.where(xs < b, 0.0, 1.0)
-        # the right strip reflected
-        alphas = clip_alpha((xs[left] - a) / h), clip_alpha((b - xs[right]) / h)
+        # the right strip reflected and reversed, so that its alpha ascends as the left's does
+        alphas = clip_alpha((xs[left] - a) / h), clip_alpha((b - xs[right][::-1]) / h)
         taylor = {}
         self.strips = [
             None if f is None else [_Strip(f, x, taylor) for x in alphas] for f in self.families
@@ -237,7 +233,7 @@ class Grid:
             if strips:  # pinned outside (a, b), classical between the strips
                 est[mid] = classical[mid]
                 est[self.left] = strips[0](ys[0], sums[0], data.size)
-                est[self.right] = 1.0 - strips[1](ys[1], sums[1], data.size)
+                est[self.right] = 1.0 - strips[1](ys[1], sums[1], data.size)[::-1]
         return out
 
 

@@ -62,6 +62,8 @@ def test_exact_mse_curve_matches_scalar_calls():
         assert rec.variance == pytest.approx(
             exact_variance(dist, cfg, alpha, 50), abs=1e-14
         )
+    with pytest.raises(ValueError, match="a boundary kernel family is required"):
+        exact_mse_curve(dist, make_cfg(None), 50, alphas)
 
 
 def test_asymptotic_uniform_bias_zero():

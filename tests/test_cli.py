@@ -11,6 +11,8 @@ import pytest
 
 import bkcdf
 from bkcdf.cli import main
+from bkcdf.distributions import BetaMixture
+from bkcdf.simulation import SimConfig, run_ise
 from test_cli_golden import assert_matches_golden
 
 
@@ -446,6 +448,19 @@ def test_simulate_unwritable_summary_path(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert not out.exists()  # nothing is written once the run has failed
+
+
+def test_simulate_regions_from_the_command_line(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--w", "0.75", "--b", "5", "--n", "20", "--reps", "3", "--seed", "1"]
+    argv += ["--families", "k1,k3", "--region", "0:0.3", "--region", "0.2:0.9", "--out", str(out)]
+    assert main(argv) == 0
+    regions = ((0.0, 0.3), (0.2, 0.9))
+    dist = BetaMixture(0.75, 5.0)
+    ise = run_ise(SimConfig(dist, 20, 3, 1, families=("k1", "k3"), regions=regions)).ise
+    _, rows = read_csv(out)
+    assert [row[2] for row in rows] == ["0.0:0.3", "0.2:0.9"] * 6
+    assert [float(row[3]) for row in rows] == ise.ravel().tolist()
 
 
 def test_simulate_bad_region():
