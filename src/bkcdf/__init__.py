@@ -32,11 +32,7 @@ from .estimator import (
     is_proper,
 )
 from .kernels import KERNEL_NAMES, BaseKernel
-from .quadrature import (
-    QuadSpec,
-    QuadratureError,
-    integrate,
-)
+from .quadrature import QuadratureError, integrate
 from .simulation import SimConfig, SimResult, run_ise, summarize
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .boundary import BoundaryKernelFamily, clip_alpha
 from .distributions import Reflected
 from .estimator import EstimatorConfig
 from .kernels import BaseKernel
-from .quadrature import QuadSpec, integrate
+from .quadrature import integrate
 
 
 class NoOptimalBandwidthError(ValueError):
@@ -186,9 +186,6 @@ def pointwise_error(dist, cfg: EstimatorConfig, n: int, x: float) -> PointwiseEr
     return PointwiseError(x=float(x), bias=bias, variance=var)
 
 
-_OUTER_SPEC = QuadSpec(rel_tol=1e-9, abs_tol=1e-13)
-
-
 def _integrated(dist, cfg: EstimatorConfig, n: int, region, squared_bias):
     """Integral over a region of the pointwise variance, plus the squared
     bias when squared_bias is set."""
@@ -202,7 +199,7 @@ def _integrated(dist, cfg: EstimatorConfig, n: int, region, squared_bias):
         return var + bias**2 if squared_bias else var
 
     panels = (cfg.a + cfg.h, cfg.b - cfg.h)
-    return integrate(integrand, lo, hi, _OUTER_SPEC, points=panels)
+    return integrate(integrand, lo, hi, points=panels, rel_tol=1e-9, abs_tol=1e-13)
 
 
 def exact_mise(dist, cfg: EstimatorConfig, n: int, region) -> float:

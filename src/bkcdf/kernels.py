@@ -37,16 +37,15 @@ class BaseKernel:
             raise ValueError(f"unknown kernel {name!r}; choose from {KERNEL_NAMES}")
         self.name = name
         self._coeffs = np.array(_DENSITY_COEFFS[name])
-        self._anti = P.polyint(self._coeffs, lbnd=-1.0)
+        # antiderivatives of u^k K(u), k = 0, 1, 2; k = 0 is Kbar itself
+        self._moment_anti = [
+            P.polyint(np.pad(self._coeffs, (k, 0)), lbnd=-1.0) for k in range(3)
+        ]
         # odd part G = Kbar - 1/2 (K is even): G(-t) == -G(t) to the bit
-        self.odd = np.concatenate(([0.0], self._anti[1:]))
+        self.odd = np.concatenate(([0.0], self._moment_anti[0][1:]))
         self.taylor = [  # row k: (-1)^k G^(k)(t)/k! in powers of t
             np.array([(-1) ** k * math.comb(k + q, k) * c for q, c in enumerate(self.odd[k:])])
             for k in range(self.odd.size)
-        ]
-        # antiderivatives of u^k K(u) for the partial moments, k = 0, 1, 2
-        self._moment_anti = [
-            P.polyint(np.pad(self._coeffs, (k, 0)), lbnd=-1.0) for k in range(3)
         ]
 
     def __repr__(self) -> str:
@@ -90,7 +89,7 @@ class BaseKernel:
 
     def r_constant(self) -> float:
         """Integral of u * 2 * Kbar(u) * K(u); equals 1 - integral of Kbar^2."""
-        return 1.0 - square_integral(self._anti, -1.0, 1.0)
+        return 1.0 - square_integral(self._moment_anti[0], -1.0, 1.0)
 
     def delta(self) -> float:
         """Bandwidth constant r^(1/3) * (second moment)^(-2/3)."""

@@ -2,11 +2,12 @@
 
 Everything here is deterministic: identical inputs give bit-identical
 results, which the simulation layer relies on for reproducible output.
+An integral may split its panels at most ``MAX_SUBDIVISIONS`` (2^15)
+times before it raises ``QuadratureError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 # smooth CDF, so a high-order rule converges fast once panels are split
 # at the known kinks.
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+MAX_SUBDIVISIONS = 2**15
 
 
 class QuadratureError(RuntimeError):
@@ -24,19 +26,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2**15
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -62,8 +51,9 @@ def integrate(
     f: Callable,
     lo: float,
     hi: float,
-    spec: QuadSpec | None = None,
     points: Iterable[float] = (),
+    rel_tol: float = 1e-10,
+    abs_tol: float = 1e-12,
 ) -> float:
     """Integrate f over a finite [lo, hi] by adaptive panel bisection.
 
@@ -71,7 +61,8 @@ def integrate(
     endpoints); they become initial panel boundaries so each panel sees
     a smooth integrand.
     """
-    spec = spec or QuadSpec()
+    if not (0.0 < rel_tol < np.inf and 0.0 < abs_tol < np.inf):
+        raise ValueError("tolerances must be positive and finite")
     lo = float(lo)
     hi = float(hi)
     if not -np.inf < lo <= hi < np.inf:
@@ -97,13 +88,13 @@ def integrate(
         right = _panel(f, m, b)
         fine = left + right
         e = abs(fine - coarse)
-        budget = max(spec.abs_tol, spec.rel_tol * abs(total)) * (b - a) / scale
+        budget = max(abs_tol, rel_tol * abs(total)) * (b - a) / scale
         if e <= budget or (b - a) <= 1e-15 * scale:
             result += fine
             err += e
         else:
             splits += 1
-            if splits > spec.max_subdivisions:
+            if splits > MAX_SUBDIVISIONS:
                 best = result + fine + sum(p[2] for p in stack)
                 raise QuadratureError(
                     "quadrature did not converge within the subdivision budget",

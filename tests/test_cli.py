@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import bkcdf
+from bkcdf import quadrature
 from bkcdf.cli import main
 from bkcdf.distributions import BetaMixture
 from bkcdf.simulation import SimConfig, run_ise
@@ -42,6 +43,15 @@ def test_bandwidth_value(tmp_path):
 def test_bandwidth_uniform_fails_numerically(capsys):
     assert main(["bandwidth", "--uniform"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_quadrature_error_exits_1_with_one_error_line(monkeypatch, capsys):
+    # b = 2.5 makes F non-polynomial, so some panel needs a split (b = 2 needs none)
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 0)
+    assert main(["mise", "--w", "0", "--b", "2.5", "--h", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: quadrature did not converge within the subdivision budget\n"
 
 
 def test_distribution_flags_mutually_exclusive():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bkcdf
 from bkcdf.distributions import (
     BetaMixture,
     Reflected,
@@ -14,6 +15,20 @@ from bkcdf.distributions import (
 
 # target (density, curvature) pairs at the left endpoint used throughout
 TARGETS = [(d1, d2) for d1 in (0.0, 0.5, 1.0, 1.5) for d2 in (6.0, 30.0)]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        bkcdf.BaseKernel("biweight"),
+        bkcdf.BoundaryKernelFamily("k3", bkcdf.BaseKernel("uniform")),
+        Reflected(BetaMixture(0.75, 5.0)),
+        Uniform(-2.0, 3.5),
+    ],
+    ids=repr,
+)
+def test_repr_evaluates_to_an_equal_repr(obj):
+    assert repr(eval(repr(obj), vars(bkcdf))) == repr(obj)
 
 
 def test_constructor_validation():

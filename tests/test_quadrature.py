@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bkcdf.quadrature import QuadSpec, QuadratureError, integrate
+from bkcdf import quadrature
+from bkcdf.quadrature import QuadratureError, integrate
 
 
 def test_constant():
@@ -68,10 +69,10 @@ def test_deterministic():
     assert integrate(f, 0.0, 3.0) == integrate(f, 0.0, 3.0)
 
 
-def test_subdivision_limit():
-    spec = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=4)
+def test_subdivision_limit(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
     with pytest.raises(QuadratureError) as err:
-        integrate(lambda u: np.sqrt(np.abs(u)), -1.0, 1.0, spec)
+        integrate(lambda u: np.sqrt(np.abs(u)), -1.0, 1.0, rel_tol=1e-15, abs_tol=1e-300)
     # best estimate still close to the true value 4/3
     assert err.value.estimate == pytest.approx(4.0 / 3.0, abs=1e-2)
     assert err.value.error_bound >= 0.0
@@ -79,9 +80,7 @@ def test_subdivision_limit():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        QuadSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(max_subdivisions=0)
+        integrate(lambda u: 1.0, 0.0, 1.0, rel_tol=0.0)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (np.nan, 1.0)])
@@ -97,4 +96,4 @@ def test_non_finite_bounds_are_rejected(lo, hi):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_tolerances_are_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
-        QuadSpec(**{field: value})
+        integrate(lambda u: 1.0, 0.0, 1.0, **{field: value})
