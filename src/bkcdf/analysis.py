@@ -6,21 +6,22 @@ exact integral representations
     E Fhat(x)      = int F(x - u*h) k(u) du
     n Var Fhat(x)  = int F(x - u*h) 2 Kbar(u) k(u) du - (E Fhat(x))^2
 
-where k is the kernel the estimator uses at x and Kbar its cumulative:
-the base kernel in the interior (with the CDF clamped to [0, 1], which
-keeps the identities exact all the way to the support endpoints) and the
-left boundary kernel KL(.; alpha) at x = a + alpha*h.  One routine,
-``_moments``, evaluates both integrals for every region.  The right strip
-reflects the distribution and reuses the left-strip kernel: integrating
-the right kernel directly leaves E Kbar^2 and (E Fhat)^2 both close to 1
-near b, and their difference then drowns in cancellation noise, while
-after reflection both stay small.
+where k is the kernel the estimator uses at x and Kbar its cumulative,
+with the CDF clamped to [0, 1] (which keeps the identities exact all the
+way to the support endpoints).  Every region's kernel is the base kernel
+K under a shape (scale s, lo, hi, weight w, norm), as in ``boundary``: the
+identity (1, -1, 1, 1, 1) in the interior and the family's shape(alpha)
+at x = a + alpha*h.  In t = u/s it is w/norm*K(t) on [lo/s, hi/s], so one
+routine, ``_moments``, evaluates both integrals for every region.  The
+right strip reflects the distribution and reuses the left-strip kernel:
+integrating the right kernel directly leaves E Kbar^2 and (E Fhat)^2 both
+close to 1 near b, and their difference then drowns in cancellation
+noise, while after reflection both stay small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -75,24 +76,19 @@ def _check(dist, cfg: EstimatorConfig, n: int) -> None:
         raise ValueError("distribution support does not match the estimator config")
 
 
-def _moments(dist, x, h, density, cumulative, lo, hi, kinks):
-    """(bias, n*variance) at x of the estimator whose kernel at x has this
-    density and cumulative on [lo, hi], with kinks at the given points."""
+def _moments(dist, base: BaseKernel, x, h, shape, kinks):
+    """(bias, n*variance) at x of the estimator whose kernel at x is the base
+    kernel under shape = (scale, lo, hi, weight, norm), kinked at points u."""
+    s, lo, hi, w, norm = (float(v) for v in shape)
+    c, g0, k = w / norm, base.odd_part(-lo / s), base.density
+    span = dict(lo=lo / s, hi=hi / s, points=[u / s for u in kinks])
 
-    def cdf_at(u):
-        return dist.cdf(x - np.asarray(u, dtype=float) * h)
+    def cdf_at(t):
+        return dist.cdf(x - np.asarray(t, dtype=float) * (s * h))
 
-    e1 = integrate(lambda u: cdf_at(u) * density(u), lo, hi, points=kinks)
-    e2 = integrate(lambda u: cdf_at(u) * 2.0 * cumulative(u) * density(u), lo, hi, points=kinks)
+    e1 = c * integrate(lambda t: cdf_at(t) * k(t), **span)
+    e2 = c * c * integrate(lambda t: cdf_at(t) * 2.0 * (base.odd_part(t) + g0) * k(t), **span)
     return e1 - dist.cdf(x), max(e2 - e1**2, 0.0)
-
-
-def _left_strip_moments(dist, fam, x, h, alpha):
-    """_moments at the left-strip point x = a + alpha*h."""
-    lo, hi = fam.support(alpha)
-    density = partial(fam.left_density, alpha=alpha)
-    cumulative = partial(fam.left_antiderivative, alpha=alpha)
-    return _moments(dist, x, h, density, cumulative, lo, hi, (-alpha, alpha))
 
 
 def exact_bias(dist, cfg: EstimatorConfig, alpha: float) -> float:
@@ -114,7 +110,7 @@ def exact_mse_curve(dist, cfg: EstimatorConfig, n: int, alphas) -> list[Pointwis
     out = []
     for alpha in np.asarray(alphas, dtype=float).tolist():
         x = cfg.a + alpha * cfg.h
-        bias, nvar = _left_strip_moments(dist, fam, x, cfg.h, alpha)
+        bias, nvar = _moments(dist, cfg.base, x, cfg.h, fam.shape(alpha), (-alpha, alpha))
         out.append(PointwiseError(x=x, bias=bias, variance=nvar / n))
     return out
 
@@ -159,20 +155,21 @@ def mise_terms(dist, base: BaseKernel, n: int) -> MiseTerms:
 
 def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
     """(bias, variance) of the configured estimator at x."""
-    a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
+    a, b, h, base, fam = cfg.a, cfg.b, cfg.h, cfg.base, cfg.family
     if fam is None or a + h <= x <= b - h:
         kinks = ((x - b) / h, (x - a) / h)
-        base = cfg.base
-        bias, nvar = _moments(dist, x, h, base.density, base.antiderivative, -1, 1, kinks)
+        bias, nvar = _moments(dist, base, x, h, (1.0, -1.0, 1.0, 1.0, 1.0), kinks)
     elif x <= a or x >= b:
         return 0.0, 0.0
     elif x < a + h:
-        bias, nvar = _left_strip_moments(dist, fam, x, h, clip_alpha((x - a) / h))
+        alpha = clip_alpha((x - a) / h)
+        bias, nvar = _moments(dist, base, x, h, fam.shape(alpha), (-alpha, alpha))
     else:
         # right strip: the estimate equals 1 minus the left-strip estimate of
         # the reflected distribution at the mirrored point
         alpha = clip_alpha((b - x) / h)
-        bias, nvar = _left_strip_moments(Reflected(dist), fam, a + alpha * h, h, alpha)
+        shape, kinks = fam.shape(alpha), (-alpha, alpha)
+        bias, nvar = _moments(Reflected(dist), base, a + alpha * h, h, shape, kinks)
         bias = -bias
     return bias, nvar / n
 

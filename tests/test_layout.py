@@ -68,3 +68,23 @@ def test_only_grid_builds_blocks_and_strips():
             elif name in ("_Blocks", "_Strip"):
                 outside.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert inside == {"_Blocks", "_Strip"} and outside == []
+
+
+
+def test_estimator_and_analysis_do_not_use_the_family_oracle_methods():
+    # the tests integrate these closed forms as an oracle for the estimator
+    # and the analysis; if either called them, or passed them on, the oracle
+    # would check a path against itself.  A distribution's ``support`` is an
+    # interval, not the family's method, so ``support`` counts when called.
+    oracle = {"left_density", "left_antiderivative", "support", "antiderivative"}
+    found = []
+    for path in SOURCES:
+        if path.name not in ("estimator.py", "analysis.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in oracle:
+                if node.attr != "support" or id(node) in called:
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
