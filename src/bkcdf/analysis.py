@@ -78,7 +78,8 @@ def _check(dist, cfg: EstimatorConfig, n: int) -> None:
 
 def _moments(dist, base: BaseKernel, x, h, shape, kinks):
     """(bias, n*variance) at x of the estimator whose kernel at x is the base
-    kernel under shape = (scale, lo, hi, weight, norm), kinked at points u."""
+    kernel under shape = (scale, lo, hi, weight, norm), kinked at points u.
+    c = weight/norm, about 1/alpha for k1, stays inside the integrands."""
     s, lo, hi, w, norm = (float(v) for v in shape)
     c, g0, k = w / norm, base.odd_part(-lo / s), base.density
     span = dict(lo=lo / s, hi=hi / s, points=[u / s for u in kinks])
@@ -86,8 +87,8 @@ def _moments(dist, base: BaseKernel, x, h, shape, kinks):
     def cdf_at(t):
         return dist.cdf(x - np.asarray(t, dtype=float) * (s * h))
 
-    e1 = c * integrate(lambda t: cdf_at(t) * k(t), **span)
-    e2 = c * c * integrate(lambda t: cdf_at(t) * 2.0 * (base.odd_part(t) + g0) * k(t), **span)
+    e1 = integrate(lambda t: cdf_at(t) * (c * k(t)), **span)
+    e2 = integrate(lambda t: cdf_at(t) * 2.0 * (c * (base.odd_part(t) + g0)) * (c * k(t)), **span)
     return e1 - dist.cdf(x), max(e2 - e1**2, 0.0)
 
 
@@ -168,8 +169,9 @@ def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
         # right strip: the estimate equals 1 minus the left-strip estimate of
         # the reflected distribution at the mirrored point
         alpha = clip_alpha((b - x) / h)
-        shape, kinks = fam.shape(alpha), (-alpha, alpha)
-        bias, nvar = _moments(Reflected(dist), base, a + alpha * h, h, shape, kinks)
+        bias, nvar = _moments(
+            Reflected(dist), base, a + alpha * h, h, fam.shape(alpha), (-alpha, alpha)
+        )
         bias = -bias
     return bias, nvar / n
 

@@ -70,7 +70,6 @@ def test_only_grid_builds_blocks_and_strips():
     assert inside == {"_Blocks", "_Strip"} and outside == []
 
 
-
 def test_estimator_and_analysis_do_not_use_the_family_oracle_methods():
     # the tests integrate these closed forms as an oracle for the estimator
     # and the analysis; if either called them, or passed them on, the oracle
