@@ -76,10 +76,11 @@ def _check(dist, cfg: EstimatorConfig, n: int) -> None:
         raise ValueError("distribution support does not match the estimator config")
 
 
-def _moments(dist, base: BaseKernel, x, h, shape, kinks):
+def _moments(dist, base: BaseKernel, x, h, shape, kinks=()):
     """(bias, n*variance) at x of the estimator whose kernel at x is the base
     kernel under shape = (scale, lo, hi, weight, norm), kinked at points u.
-    c = weight/norm, about 1/alpha for k1, stays inside the integrands."""
+    A strip has none inside: F(x - t*s*h) kinks at t = alpha/s, its upper
+    limit.  c = weight/norm, about 1/alpha for k1, stays inside the integrands."""
     s, lo, hi, w, norm = (float(v) for v in shape)
     c, g0, k = w / norm, base.odd_part(-lo / s), base.density
     span = dict(lo=lo / s, hi=hi / s, points=[u / s for u in kinks])
@@ -111,7 +112,7 @@ def exact_mse_curve(dist, cfg: EstimatorConfig, n: int, alphas) -> list[Pointwis
     out = []
     for alpha in np.asarray(alphas, dtype=float).tolist():
         x = cfg.a + alpha * cfg.h
-        bias, nvar = _moments(dist, cfg.base, x, cfg.h, fam.shape(alpha), (-alpha, alpha))
+        bias, nvar = _moments(dist, cfg.base, x, cfg.h, fam.shape(alpha))
         out.append(PointwiseError(x=x, bias=bias, variance=nvar / n))
     return out
 
@@ -164,14 +165,12 @@ def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
         return 0.0, 0.0
     elif x < a + h:
         alpha = clip_alpha((x - a) / h)
-        bias, nvar = _moments(dist, base, x, h, fam.shape(alpha), (-alpha, alpha))
+        bias, nvar = _moments(dist, base, x, h, fam.shape(alpha))
     else:
         # right strip: the estimate equals 1 minus the left-strip estimate of
         # the reflected distribution at the mirrored point
         alpha = clip_alpha((b - x) / h)
-        bias, nvar = _moments(
-            Reflected(dist), base, a + alpha * h, h, fam.shape(alpha), (-alpha, alpha)
-        )
+        bias, nvar = _moments(Reflected(dist), base, a + alpha * h, h, fam.shape(alpha))
         bias = -bias
     return bias, nvar / n
 

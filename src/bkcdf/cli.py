@@ -43,14 +43,15 @@ gc.freeze()
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):  # np.float64 too, whose own repr names its type
+        return float.__repr__(value)
+    if isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
 
 
 def _emit(header, rows, out_path):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines = [",".join(header), *[",".join([_fmt(v) for v in row]) for row in rows]]
     text = "\n".join(lines) + "\n"
     if out_path and out_path != "-":
         with open(out_path, "w") as fh:

@@ -29,13 +29,18 @@ edge is counted by a binary search per point, or, when the data are fewer,
 by placing each datum among the edges and summing; with the sort that makes
 O((n + m) log(n + m)) for n data and m points, not O(n*m).  One Horner
 routine sums every window, block or strip, from the difference of two prefix
-sums per power (a strip's lower one is the empty prefix, exactly 0).  The
-regions are runs of the sorted points, so each family's estimate is put
-together from slices.  The centring keeps |y| and |t| below 2, so no term
-exceeds the window count by more than a few hundred and the error stays
-near machine epsilon wherever the data lie; a block's sums depend only on
-the data, c and h, so a value has the same bits whichever points come with
-it.
+sums per power (a strip's lower one is the empty prefix, exactly 0).  A block
+or strip of up to _RUN data takes them as compensated running sums.  A larger
+one is cut into fixed runs of _RUN data from its first datum, and a prefix
+sum is the compensated running sum of the whole runs below it plus a plain
+running sum inside its own run: a few passes over the data, not about seven
+per power.  The path is chosen by the data count and the runs are cut at
+fixed places, never by the points.  The regions are runs of the sorted
+points, so each family's estimate is put together from slices.  The
+centring keeps |y| and |t| below 2, so no term exceeds the window count by
+more than a few hundred and the error stays near machine epsilon wherever
+the data lie; a block's sums depend only on the data, c and h, so a value
+has the same bits whichever points come with it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ from numpy.polynomial import polynomial as P
 
 from .boundary import BoundaryKernelFamily, clip_alpha
 from .kernels import BaseKernel
+
+_RUN = 256  # data per run, where a block or strip sums its powers in runs
 
 
 @dataclass(frozen=True)
@@ -83,20 +90,39 @@ def _count(data: np.ndarray, edges: np.ndarray, side: str) -> np.ndarray:
     return np.cumsum(np.bincount(at, minlength=edges.size + 1)[:-1])
 
 
-def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
-    """Row k, entry r holds sum_{i<r} y_i^k, k = 0..degree, compensated: the
-    exact error of each running addition (Knuth's two-sum) is added back, so
-    long runs do not drift by sqrt(run) ulps as a plain running sum does."""
+def _powers(y: np.ndarray, degree: int) -> np.ndarray:
+    """Row k holds y^k, k = 0..degree."""
     powers = np.empty((degree + 1, y.size))
     powers[0] = 1.0
     for k in range(1, degree + 1):
         np.multiply(powers[k - 1], y, out=powers[k])
-    out = np.zeros((degree + 1, y.size + 1))
-    np.cumsum(powers, axis=1, out=out[:, 1:])
+    return powers
+
+
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """Row k, entry r holds the sum of row k's first r terms, compensated: the
+    exact error of each running addition (Knuth's two-sum) is added back, so
+    long runs do not drift by sqrt(run) ulps as a plain running sum does."""
+    out = np.zeros((terms.shape[0], terms.shape[1] + 1))
+    np.cumsum(terms, axis=1, out=out[:, 1:])
     added = out[:, 1:] - out[:, :-1]
-    lost = (out[:, :-1] - (out[:, 1:] - added)) + (powers - added)
+    lost = (out[:, :-1] - (out[:, 1:] - added)) + (terms - added)
     out[:, 1:] += np.cumsum(lost, axis=1)
     return out
+
+
+def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
+    """Row k, entry r holds sum_{i<r} y_i^k, k = 0..degree: compensated up to
+    _RUN data, from fixed runs past that (see the module's doc)."""
+    if y.size <= _RUN:
+        return _prefix_sums(_powers(y, degree))
+    runs = y.size // _RUN + 1  # the last one partial, perhaps empty
+    padded = np.zeros(runs * _RUN)
+    padded[: y.size] = y
+    inside = np.zeros((degree + 1, runs, _RUN + 1))
+    np.cumsum(_powers(padded, degree).reshape(degree + 1, runs, _RUN), axis=2, out=inside[..., 1:])
+    below = _prefix_sums(inside[..., -1])
+    return (below[:, :-1, None] + inside[..., :-1]).reshape(degree + 1, -1)
 
 
 def _horner(rows, s, sums: np.ndarray, lo, hi: np.ndarray) -> np.ndarray:
@@ -173,8 +199,9 @@ class _Strip:
         count = _count(near, self.edge, "left")
         # each window is a prefix, and sums[k][0] is exactly 0
         total = _horner(self.rows, self.s, sums, 0, count)
-        for p, at in self.groups:  # a window y < 2s holds y * 2^p < 2
-            q = _prefix_power_sums(np.ldexp(near[: count[at].max()], p), len(self.rows) - 1)
+        for p, at in self.groups:  # a y < 2^(1-p), as in any window y < 2s, has y * 2^p < 2
+            y = np.ldexp(near[: np.searchsorted(near, 2.0 ** (1 - p))], p)
+            q = _prefix_power_sums(y, len(self.rows) - 1)
             total[at] = _horner([r[at] for r in self.rows], self.s[at], q, 0, count[at])
         return self.w * (total + count * self.g0) / self.norm / n
 

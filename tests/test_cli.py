@@ -572,3 +572,19 @@ def test_only_the_cli_freezes_the_heap(module, frozen):
     proc = run_fresh("-c", f"import gc, {module}; print(gc.get_freeze_count())")
     assert proc.returncode == 0, proc.stderr
     assert (int(proc.stdout) > 0) == frozen
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_commands_import_no_lazy_numpy_submodule(tmp_path, command):
+    # the first np.unique call of a process imports numpy.ma, which would
+    # add about 10 ms to every fresh-process command
+    data = tmp_path / "sample.txt"
+    np.savetxt(data, np.random.default_rng(0).beta(2.0, 3.0, 20_000))
+    argv = {
+        "estimate": ["estimate", "--data", str(data), "--a", "0", "--b", "1", "--h", "0.05"],
+        "simulate": ["simulate", "--w", "0.75", "--b", "5", "--n", "50", "--reps", "2"],
+    }[command] + ["--out", str(tmp_path / "out.csv")]
+    code = f"import sys, bkcdf.cli\nassert bkcdf.cli.main({argv!r}) == 0\n"
+    proc = run_fresh("-c", code + "print('numpy.ma' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

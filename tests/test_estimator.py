@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -238,22 +239,23 @@ def test_supnorm_decay():
     assert median_supnorm(400) < median_supnorm(100)
 
 
-def dense_estimate(data, cfg, xs):
+def dense_estimate(data, cfg, xs, mean=lambda terms: terms.mean(axis=1)):
     """The estimate as the mean of the kernel over every (point, datum)
-    pair: the direct formula, kept here as the oracle."""
+    pair: the direct formula, kept here as the oracle.  mean takes each
+    point's row of kernel values."""
     data = np.asarray(data, dtype=float)
     xs = np.asarray(xs, dtype=float)
     a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
     u = (xs[:, None] - data) / h
-    out = cfg.base.antiderivative(u).mean(axis=1)
+    out = mean(cfg.base.antiderivative(u))
     if fam is None:
         return out
     left = (xs > a) & (xs < a + h)
     right = (xs > b - h) & (xs < b)
     alpha = ((xs[left] - a) / h)[:, None]
-    out[left] = fam.left_antiderivative(u[left], alpha).mean(axis=1)
+    out[left] = mean(fam.left_antiderivative(u[left], alpha))
     alpha = ((b - xs[right]) / h)[:, None]
-    out[right] = (1.0 - fam.left_antiderivative(-u[right], alpha)).mean(axis=1)
+    out[right] = mean(1.0 - fam.left_antiderivative(-u[right], alpha))
     out[xs <= a] = 0.0
     out[xs >= b] = 1.0
     return out
@@ -385,6 +387,47 @@ def test_grid_values_match_one_point_calls(base, variant):
     vals = evaluate_grid(data, cfg, xs)
     for x, v in zip(xs, vals):
         assert evaluate_grid(data, cfg, [x])[0] == v
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=str)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_grid_values_match_one_point_calls_on_long_runs(base, variant):
+    # thousands of data in every block and strip, so their power sums are
+    # taken in fixed runs; the 300 data at a also reach the runs at the cut
+    # points so small that y^deg underflows (k2's rescaled sums)
+    fam = None if variant is None else BoundaryKernelFamily(variant, base)
+    cfg = EstimatorConfig(0.0, 1.0, 0.05, base, fam)
+    data = np.random.default_rng(23).beta(0.7, 0.7, 20_000)
+    data[:300] = 0.0
+    tiny = [1e-300, 1e-200, 1e-120]
+    xs = np.sort(np.concatenate([np.linspace(-0.1, 1.1, 31), tiny, [0.011, 0.049, 0.951, 0.99]]))
+    vals = evaluate_grid(data, cfg, xs)
+    for x, v in zip(xs, vals):
+        assert evaluate_grid(data, cfg, [x])[0] == v
+
+
+def fsum_mean(terms):
+    return np.array([math.fsum(row) for row in terms]) / terms.shape[1]
+
+
+@pytest.mark.parametrize(
+    "n, h, xs",
+    [
+        (10**6, 0.2, [0.07, 0.5, 0.91]),
+        (10**5, 0.05, [0.002, 0.02, 0.045, 0.1, 0.3, 0.5, 0.7, 0.9, 0.96, 0.98, 0.999]),
+    ],
+    ids=["1e6-data", "1e5-data"],
+)
+def test_long_runs_match_an_exactly_summed_dense_mean(n, h, xs):
+    # the sums inside a run are plain running sums; over a million data the
+    # estimate stays within 1e-14 of the dense mean summed exactly (sorted
+    # once here, which saves the estimator's sorts most of their time)
+    data = np.sort(np.random.default_rng(n).beta(1.0, 3.0, n))
+    for base in KERNELS:
+        for fam in (None, BoundaryKernelFamily("k3", base)):
+            cfg = EstimatorConfig(0.0, 1.0, h, base, fam)
+            want = [dense_estimate(data, cfg, [x], fsum_mean)[0] for x in xs]
+            assert np.abs(evaluate_grid(data, cfg, xs) - want).max() <= 1e-14
 
 
 def test_memory_is_linear_in_n_plus_m():
