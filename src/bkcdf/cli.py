@@ -51,7 +51,8 @@ def _fmt(value) -> str:
 
 
 def _emit(header, rows, out_path):
-    lines = [",".join(header), *[",".join([_fmt(v) for v in row]) for row in rows]]
+    rows = [row if isinstance(row, str) else ",".join([_fmt(v) for v in row]) for row in rows]
+    lines = [",".join(header), *rows]
     text = "\n".join(lines) + "\n"
     if out_path and out_path != "-":
         with open(out_path, "w") as fh:
@@ -125,7 +126,8 @@ def _cmd_estimate(args, base, dist):
     cfg = EstimatorConfig(args.a, args.b, args.h, base, family_for(args.family, base))
     grid = np.linspace(args.a, args.b, args.grid)
     values = evaluate_grid(data, cfg, grid)
-    return ["x", "Fhat"], zip(grid.tolist(), values.tolist())
+    # the bytes _fmt gives for floats, in one f-string per row
+    return ["x", "Fhat"], [f"{x!r},{v!r}" for x, v in zip(grid.tolist(), values.tolist())]
 
 
 def _cmd_coeffs(args, base, dist):
@@ -225,67 +227,76 @@ def _cmd_check_kernels(args, base, dist):
     return ["alpha", "c1_residual", "c2_residual", "c1_ok", "c2_ok"], rows
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The full parser, or, when command names a subcommand, one holding only
+    that subparser, which is all the command's parse reads."""
     parser = argparse.ArgumentParser(
         prog="bkcdf",
         description="Boundary-corrected kernel distribution function estimation",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("estimate", help="evaluate an estimator on a data file")
-    p.add_argument("--data", required=True, help="newline-delimited reals")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--family", default="classical", choices=FAMILY_CHOICES)
-    p.add_argument("--grid", type=_count, default=1001, help="number of grid points")
-    p.set_defaults(func=_cmd_estimate)
+    if command in (None, "estimate"):
+        p = subs.add_parser("estimate", help="evaluate an estimator on a data file")
+        p.add_argument("--data", required=True, help="newline-delimited reals")
+        p.add_argument("--a", type=float, required=True)
+        p.add_argument("--b", type=float, required=True)
+        p.add_argument("--h", type=float, required=True)
+        p.add_argument("--family", default="classical", choices=FAMILY_CHOICES)
+        p.add_argument("--grid", type=_count, default=1001, help="number of grid points")
+        p.set_defaults(func=_cmd_estimate)
 
-    p = subs.add_parser("coeffs", help="boundary bias/variance coefficient curves")
-    p.add_argument("--families", default="k1,k2,k3")
-    p.add_argument("--points", type=_count, default=99)
-    p.set_defaults(func=_cmd_coeffs)
+    if command in (None, "coeffs"):
+        p = subs.add_parser("coeffs", help="boundary bias/variance coefficient curves")
+        p.add_argument("--families", default="k1,k2,k3")
+        p.add_argument("--points", type=_count, default=99)
+        p.set_defaults(func=_cmd_coeffs)
 
-    p = subs.add_parser("mse-curve", help="exact pointwise MSE across the left strip")
-    _add_dist_flags(p)
-    p.add_argument("--families", default="k1,k2,k3")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--h", default="optimal", help='bandwidth, or "optimal"')
-    p.add_argument("--points", type=_count, default=99)
-    p.set_defaults(func=_cmd_mse_curve)
+    if command in (None, "mse-curve"):
+        p = subs.add_parser("mse-curve", help="exact pointwise MSE across the left strip")
+        _add_dist_flags(p)
+        p.add_argument("--families", default="k1,k2,k3")
+        p.add_argument("--n", type=int, default=50)
+        p.add_argument("--h", default="optimal", help='bandwidth, or "optimal"')
+        p.add_argument("--points", type=_count, default=99)
+        p.set_defaults(func=_cmd_mse_curve)
 
-    p = subs.add_parser("bandwidth", help="asymptotically optimal bandwidth")
-    _add_dist_flags(p)
-    p.add_argument("--n", type=int, default=50)
-    p.set_defaults(func=_cmd_bandwidth)
+    if command in (None, "bandwidth"):
+        p = subs.add_parser("bandwidth", help="asymptotically optimal bandwidth")
+        _add_dist_flags(p)
+        p.add_argument("--n", type=int, default=50)
+        p.set_defaults(func=_cmd_bandwidth)
 
-    p = subs.add_parser("mise", help="exact vs leading-term MISE over a bandwidth grid")
-    _add_dist_flags(p)
-    p.add_argument("--family", default="k1", choices=FAMILY_NAMES)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument(
-        "--h", type=float, action="append", required=True, help="repeatable bandwidth"
-    )
-    p.set_defaults(func=_cmd_mise)
+    if command in (None, "mise"):
+        p = subs.add_parser("mise", help="exact vs leading-term MISE over a bandwidth grid")
+        _add_dist_flags(p)
+        p.add_argument("--family", default="k1", choices=FAMILY_NAMES)
+        p.add_argument("--n", type=int, default=50)
+        p.add_argument(
+            "--h", type=float, action="append", required=True, help="repeatable bandwidth"
+        )
+        p.set_defaults(func=_cmd_mise)
 
-    p = subs.add_parser("simulate", help="Monte Carlo ISE study")
-    _add_dist_flags(p)
-    p.add_argument("--families", default="classical,k1,k2,k3")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--reps", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", default="optimal", help='bandwidth, or "optimal"')
-    p.add_argument(
-        "--region", action="append", help="repeatable region lo:hi (default strips + full)"
-    )
-    p.add_argument("--summary-out", help="write boxplot statistics CSV here")
-    p.set_defaults(func=_cmd_simulate)
+    if command in (None, "simulate"):
+        p = subs.add_parser("simulate", help="Monte Carlo ISE study")
+        _add_dist_flags(p)
+        p.add_argument("--families", default="classical,k1,k2,k3")
+        p.add_argument("--n", type=int, default=50)
+        p.add_argument("--reps", type=int, default=500)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--h", default="optimal", help='bandwidth, or "optimal"')
+        p.add_argument(
+            "--region", action="append", help="repeatable region lo:hi (default strips + full)"
+        )
+        p.add_argument("--summary-out", help="write boxplot statistics CSV here")
+        p.set_defaults(func=_cmd_simulate)
 
-    p = subs.add_parser("check-kernels", help="moment condition report")
-    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--points", type=_count, default=99)
-    p.set_defaults(func=_cmd_check_kernels)
+    if command in (None, "check-kernels"):
+        p = subs.add_parser("check-kernels", help="moment condition report")
+        p.add_argument("--family", required=True, choices=FAMILY_NAMES)
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--points", type=_count, default=99)
+        p.set_defaults(func=_cmd_check_kernels)
 
     for sub in subs.choices.values():
         sub.add_argument(
@@ -294,11 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", help="output CSV path (default: stdout)")
         sub.set_defaults(parser=sub)
 
-    return parser
+    # not a subcommand's name: the full parser gives the top-level help and errors
+    return parser if subs.choices else build_parser()
 
 
 def main(argv=None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, unknown = build_parser(argv[0] if argv else None).parse_known_args(argv)
     if unknown:  # with the subcommand's usage, not the top-level one
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:

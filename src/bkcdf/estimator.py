@@ -26,15 +26,18 @@ and the window 0 <= y < alpha - lo is a prefix of the sample; the right
 strip reflects the data and holds its points in reverse, so that its alpha
 ascends as the left strip's does and every counted edge ascends.  A window
 edge is counted by a binary search per point, or, when the data are fewer,
-by placing each datum among the edges and summing; with the sort that makes
-O((n + m) log(n + m)) for n data and m points, not O(n*m).  One Horner
-routine sums every window, block or strip, from the difference of two prefix
-sums per power (a strip's lower one is the empty prefix, exactly 0).  A block
+by placing each datum among the edges and summing, and then a block of k
+data sums each of its 2k + 1 windows once for its points to gather; with the
+sort that makes O((n + m) log(n + m)) for n data and m points, not O(n*m).
+One Horner routine sums every window, block or strip, gathering its sums one
+power at a time from a table: a block's holds two prefix sums' differences,
+taken from the whole tables at once, and a strip's window is a prefix, whose
+sums are the prefix table itself.  A block
 or strip of up to _RUN data takes them as compensated running sums.  A larger
 one is cut into fixed runs of _RUN data from its first datum, and a prefix
 sum is the compensated running sum of the whole runs below it plus a plain
 running sum inside its own run: a few passes over the data, not about seven
-per power.  The path is chosen by the data count and the runs are cut at
+per power.  The sums are chosen by the data count and the runs are cut at
 fixed places, never by the points.  The regions are runs of the sorted
 points, so each family's estimate is put together from slices.  The
 centring keeps |y| and |t| below 2, so no term exceeds the window count by
@@ -125,15 +128,14 @@ def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
     return (below[:, :-1, None] + inside[..., :-1]).reshape(degree + 1, -1)
 
 
-def _horner(rows, s, sums: np.ndarray, lo, hi: np.ndarray) -> np.ndarray:
-    """sum_k rows[k] * s^-k * (sums[k][hi] - sums[k][lo]), by Horner in 1/s, one
-    power at a time and in place (every difference at once measured slower); a
-    scalar s = 1 divides nothing, as x/1 is x."""
+def _horner(rows, s, sums: np.ndarray, at=slice(None)) -> np.ndarray:
+    """sum_k rows[k] * s^-k * sums[k][at], by Horner in 1/s, in place on each
+    power's gather (on sums itself where at is a slice); a scalar s = 1
+    divides nothing, as x/1 is x."""
     unit = np.ndim(s) == 0 and s == 1.0
     acc = 0.0
     for k in range(len(rows) - 1, -1, -1):
-        term = sums[k][hi]
-        term -= sums[k][lo]
+        term = sums[k][at]
         term *= rows[k]
         term += acc if unit else acc / s
         acc = term
@@ -172,11 +174,26 @@ class _Blocks:
         out = np.empty(self.t_lo.size)
         for (i, e, c, rows), first, stop in zip(self.spans, firsts, stops):
             # the window t - 1 < y < t + 1, in the coordinates the Taylor rows use;
-            # lo and hi count from the block's first datum
+            # lo and hi count from the block's first datum.  Where the points are the
+            # more, k data enter and leave the window at 2k edges, making 2k + 1
+            # windows in edge order, and a point reads the one its lo + hi keys
             y = (data[first:stop] - c) / self.h
-            lo, hi = _count(y, self.t_lo[i:e], "right"), _count(y, self.t_hi[i:e], "left")
-            acc = _horner(rows, 1.0, _prefix_power_sums(y, len(rows) - 1), lo, hi)
-            out[i:e] = (lo + first) + (0.5 * (hi - lo) + acc)
+            t_lo, t_hi = self.t_lo[i:e], self.t_hi[i:e]
+            if y.size < e - i:
+                enter, leave = np.searchsorted(t_hi, y, "right"), np.searchsorted(t_lo, y)
+                moves = np.concatenate([enter, leave])
+                key = np.cumsum(np.bincount(moves, minlength=e - i + 1)[:-1])
+                # an entry comes after the entries before it and the leavings below it
+                lo = np.arange(2 * y.size + 1)
+                hi = np.searchsorted(np.arange(y.size) + np.searchsorted(leave, enter), lo)
+                lo -= hi
+            else:
+                key = slice(None)
+                lo, hi = np.searchsorted(y, t_lo, "right"), np.searchsorted(y, t_hi, "left")
+            sums = _prefix_power_sums(y, len(rows) - 1)
+            window = sums.take(hi, axis=1) - sums.take(lo, axis=1)
+            below, half = lo + first, 0.5 * (hi - lo)
+            out[i:e] = below[key] + (half[key] + _horner(rows, 1.0, window, key))
         return out / data.size
 
 
@@ -197,12 +214,12 @@ class _Strip:
 
     def __call__(self, near: np.ndarray, sums: np.ndarray, n: int) -> np.ndarray:
         count = _count(near, self.edge, "left")
-        # each window is a prefix, and sums[k][0] is exactly 0
-        total = _horner(self.rows, self.s, sums, 0, count)
+        # each window is a prefix, whose sums need no empty one subtracted
+        total = _horner(self.rows, self.s, sums, count)
         for p, at in self.groups:  # a y < 2^(1-p), as in any window y < 2s, has y * 2^p < 2
             y = np.ldexp(near[: np.searchsorted(near, 2.0 ** (1 - p))], p)
             q = _prefix_power_sums(y, len(self.rows) - 1)
-            total[at] = _horner([r[at] for r in self.rows], self.s[at], q, 0, count[at])
+            total[at] = _horner([r[at] for r in self.rows], self.s[at], q, count[at])
         return self.w * (total + count * self.g0) / self.norm / n
 
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import shlex
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import bkcdf
-from bkcdf import quadrature
+from bkcdf import cli, quadrature
 from bkcdf.cli import main
 from bkcdf.distributions import BetaMixture
+from bkcdf.kernels import BaseKernel
 from bkcdf.simulation import SimConfig, run_ise
 from test_cli_golden import assert_matches_golden
 
@@ -588,3 +590,117 @@ def test_commands_import_no_lazy_numpy_submodule(tmp_path, command):
     proc = run_fresh("-c", code + "print('numpy.ma' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+VALID = {  # a full argv per subcommand, parsed but never run by the tests below
+    "estimate": ["estimate", "--data", "x.txt", "--a", "0", "--b", "1", "--h", "0.2"],
+    "coeffs": ["coeffs"],
+    "mse-curve": ["mse-curve", "--uniform"],
+    "bandwidth": ["bandwidth", "--uniform"],
+    "mise": ["mise", "--uniform", "--h", "0.1"],
+    "simulate": ["simulate", "--uniform"],
+    "check-kernels": ["check-kernels", "--family", "k1"],
+}
+BAD_VALUE = {  # a flag of each subcommand whose type rejects "x"
+    "estimate": "--grid", "coeffs": "--points", "mse-curve": "--n", "bandwidth": "--n",
+    "mise": "--h", "simulate": "--reps", "check-kernels": "--tol",
+}
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *[[command, "-h"] for command in VALID],
+        # a required flag missing, or a flag's value
+        *[[command] if command in ("estimate", "mise", "check-kernels") else [*argv, "--n"]
+          for command, argv in VALID.items()],
+        *[[*argv, "--frobnicate"] for argv in VALID.values()],
+        *[[*argv, BAD_VALUE[command], "x"] for command, argv in VALID.items()],
+        [],
+        ["-h"],
+        ["bogus"],
+        ["--kernel", "uniform", *VALID["estimate"]],
+    ],
+    ids=lambda argv: " ".join(argv) or "(none)",
+)
+def test_one_subparser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    # a command builds only its own subparser; its help and errors must not change
+    got = _outcome(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == _outcome(argv, capsys)
+    assert got[0] in (0, 2) and got[1:] != ("", "")
+
+
+@pytest.fixture
+def added(monkeypatch):
+    """The names of the subparsers added while the test runs."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return names
+
+
+def test_a_command_adds_only_its_own_subparser(tmp_path, added):
+    (tmp_path / "data.txt").write_text("0.2\n0.5\n")
+    argv = ["estimate", "--data", str(tmp_path / "data.txt"), "--a", "0", "--b", "1", "--h", "0.2"]
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert added == ["estimate"]
+    added.clear()
+    cli.build_parser()  # with no command, every subparser
+    assert sorted(added) == sorted(VALID)
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys, added):
+    # as the console script calls it, with one subparser too
+    monkeypatch.setattr(sys, "argv", ["bkcdf", "coeffs", "--points", "1", "--families", "k1"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("family,alpha,mu,")
+    assert added == ["coeffs"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # building the parser at import would move its cost to start-up, not remove it
+    code = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
+        "import bkcdf.cli\n"
+        "print(len(built), 'locale' in sys.modules)\n"
+    )
+    proc = run_fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+
+
+AWKWARD = [-0.0, 5e-324, 0.1, 1.0, 1e16, 2.0**53, 1.0 - 2.0**-53]
+
+
+def test_estimate_rows_are_the_bytes_fmt_gives(tmp_path, monkeypatch, capsys):
+    (tmp_path / "data.txt").write_text("0.2\n0.5\n")
+    argv = ["estimate", "--data", str(tmp_path / "data.txt"), "--a", "0", "--b", "1", "--h", "0.5"]
+    monkeypatch.setattr(cli, "evaluate_grid", lambda values, cfg, grid: np.array(AWKWARD))
+    assert main(argv + ["--grid", str(len(AWKWARD))]) == 0
+    grid = np.linspace(0.0, 1.0, len(AWKWARD))
+    rows = [f"{cli._fmt(x)},{cli._fmt(v)}" for x, v in zip(grid, np.array(AWKWARD))]
+    assert capsys.readouterr().out == "\n".join(["x,Fhat", *rows]) + "\n"
+    # and in the grid's column, straight from the handler
+    args = argparse.Namespace(data=argv[2], a=-1e16, b=2.0**53, h=1.0, family="classical", grid=3)
+    header, rows = cli._cmd_estimate(args, BaseKernel("epanechnikov"), None)
+    grid = np.linspace(-1e16, 2.0**53, 3)
+    assert header == ["x", "Fhat"]
+    assert rows == [f"{cli._fmt(x)},{cli._fmt(v)}" for x, v in zip(grid, np.array(AWKWARD[:3]))]

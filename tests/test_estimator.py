@@ -406,6 +406,22 @@ def test_grid_values_match_one_point_calls_on_long_runs(base, variant):
         assert evaluate_grid(data, cfg, [x])[0] == v
 
 
+@pytest.mark.parametrize("variant", VARIANTS, ids=str)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_blocks_with_more_points_than_data_match_one_point_calls(base, variant):
+    # simulate's case: each block holds far more points than data, and its points
+    # gather their windows from a table of the block's windows; ties, data on the
+    # support's ends and points whose window edge falls on a datum (h = 1/4 makes
+    # x - c and x +- h exact) must give the bits a point alone gets
+    fam = None if variant is None else BoundaryKernelFamily(variant, base)
+    cfg = EstimatorConfig(0.0, 1.0, 0.25, base, fam)
+    data = np.array([0.0, 0.25, 0.25, 0.3, 0.5, 0.75, 0.999, 1.0])
+    xs = np.sort(np.concatenate([np.linspace(-0.6, 1.6, 111), data - 0.25, data + 0.25, data]))
+    vals = evaluate_grid(data, cfg, xs)
+    for x, v in zip(xs, vals):
+        assert evaluate_grid(data, cfg, [x])[0] == v
+
+
 def fsum_mean(terms):
     return np.array([math.fsum(row) for row in terms]) / terms.shape[1]
 
