@@ -133,20 +133,10 @@ class BoundaryKernelFamily:
         """Evaluate the strong (C1) and weak (C2) moment conditions."""
         if not 0.0 < tol < np.inf:
             raise ValueError(f"tolerance must satisfy 0 < tol < inf, got {tol!r}")
-        out = []
-        for alpha in np.asarray(alphas, dtype=float):
-            mu0 = self.moment(0, alpha)
-            mu1 = self.moment(1, alpha)
-            mu2 = self.moment(2, alpha)
-            c1 = max(abs(mu0 - 1.0), abs(mu1))
-            c2 = abs(alpha * (1.0 - mu0) + mu1)
-            out.append(
-                ConditionCheck(
-                    alpha=float(alpha),
-                    c1_residual=c1,
-                    c2_residual=c2,
-                    c1_ok=bool(c1 <= tol and abs(mu2) > tol),
-                    c2_ok=bool(c2 <= tol),
-                )
-            )
-        return out
+        alphas = np.asarray(alphas, dtype=float)
+        mu0, mu1, mu2 = (np.asarray(self.moment(k, alphas)) for k in range(3))
+        c1 = np.maximum(abs(mu0 - 1.0), abs(mu1))
+        c2 = abs(alphas * (1.0 - mu0) + mu1)
+        c1_ok = (c1 <= tol) & (abs(mu2) > tol)
+        rows = zip(alphas.tolist(), c1.tolist(), c2.tolist(), c1_ok.tolist(), (c2 <= tol).tolist())
+        return [ConditionCheck(*row) for row in rows]

@@ -45,8 +45,6 @@ gc.freeze()
 def _fmt(value) -> str:
     if isinstance(value, float):  # np.float64 too, whose own repr names its type
         return float.__repr__(value)
-    if isinstance(value, np.floating):
-        return repr(float(value))
     return str(value)
 
 
@@ -135,10 +133,9 @@ def _cmd_coeffs(args, base, dist):
     alphas = _alpha_grid(args.points)
     rows = []
     for fam in fams:
-        for alpha in alphas:
-            mu = fam.mu_bias_coeff(alpha)
+        for alpha, mu in zip(alphas.tolist(), fam.mu_bias_coeff(alphas).tolist()):
             nu = fam.nu_var_coeff(alpha)
-            rows.append((fam.variant, float(alpha), mu, mu * mu, nu, -nu))
+            rows.append((fam.variant, alpha, mu, mu * mu, nu, -nu))
     return ["family", "alpha", "mu", "mu_sq", "nu", "neg_nu"], rows
 
 

@@ -102,12 +102,13 @@ def run_ise(cfg: SimConfig) -> SimResult:
         if not (a <= lo <= hi <= b):
             raise ValueError("regions must be contained in the support")
 
-    live = [(k, *_simpson_grid(lo, hi)) for k, (lo, hi) in enumerate(regions) if lo < hi]
+    # a zero-width region's three nodes sit at lo with weight 0: its ISE is 0.0
+    nodes = [_simpson_grid(lo, hi) for lo, hi in regions]
     fams = [family_for(f, cfg.base) for f in cfg.families]
-    grid = Grid(np.sort(np.concatenate([np.empty(0)] + [x for _, x, _ in live])), est, fams)
-    cells = [(k, np.searchsorted(grid.xs, x), w) for k, x, w in live]
+    grid = Grid(np.sort(np.concatenate([x for x, _ in nodes])), est, fams)
+    cells = [(np.searchsorted(grid.xs, x), w) for x, w in nodes]
     ref = np.zeros(grid.xs.size)  # F at every region's nodes, subtracted grid-wide
-    for (_, at, _), (_, x, _) in zip(cells, live):
+    for (at, _), (x, _) in zip(cells, nodes):
         ref[at] = cfg.dist.cdf(x)
 
     ise = np.zeros((cfg.reps, len(cfg.families), len(regions)))
@@ -119,7 +120,7 @@ def run_ise(cfg: SimConfig) -> SimResult:
             for j, fhat in enumerate(grid.evaluate(sample)):
                 fhat -= ref
                 fhat *= fhat
-                for k, at, w in cells:  # 1-D gathers: a strided row moves BLAS's bits
+                for k, (at, w) in enumerate(cells):  # 1-D gathers: a strided row moves BLAS's bits
                     ise[r, j, k] = float(w @ fhat[at])
 
     return SimResult(

@@ -146,9 +146,12 @@ def test_conditions(base_name):
     base = BaseKernel(base_name)
     grid = np.linspace(0.01, 0.99, 99)
     for variant, c1_expected in (("k1", True), ("k2", True), ("k3", False)):
-        recs = BoundaryKernelFamily(variant, base).check_conditions(grid, 1e-9)
+        f = BoundaryKernelFamily(variant, base)
+        recs = f.check_conditions(grid, 1e-9)
         assert all(r.c2_ok for r in recs)
         assert all(r.c1_ok for r in recs) == c1_expected
+        # the array call gives each cut point the record it gets alone, bit for bit
+        assert recs == [f.check_conditions([alpha], 1e-9)[0] for alpha in grid]
 
 
 def test_cumulative_limit_equals_mass():

@@ -6,6 +6,7 @@ from bkcdf.distributions import BetaMixture, replicate_rng
 from bkcdf.estimator import EstimatorConfig, evaluate_grid
 from bkcdf.kernels import KERNEL_NAMES, BaseKernel
 from bkcdf import simulation
+from bkcdf.cli import main
 from bkcdf.simulation import PANELS_PER_UNIT, SimConfig, SimResult, run_ise, summarize
 
 DIST = BetaMixture(0.5, 4.0)
@@ -74,6 +75,17 @@ def test_chunks_of_replicates_change_no_bit(monkeypatch, chunk):
 def test_empty_region_is_zero():
     res = run_ise(small_cfg(regions=((0.3, 0.3),), families=("k1",)))
     assert np.all(res.ise == 0.0)
+
+
+def test_zero_width_region_still_checks_the_bandwidth(capsys):
+    # a zero-width region's nodes are evaluated like any other's, so a
+    # bandwidth too small for them is rejected, not skipped
+    with pytest.raises(ValueError, match="bandwidth too small for the points"):
+        run_ise(small_cfg(regions=((0.3, 0.3),), h=1e-20))
+    assert main(["simulate", "--uniform", "--h", "1e-20", "--region", "0.3:0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bandwidth too small for the points: need |x| < 2**52 * h\n"
 
 
 def test_region_additivity():
