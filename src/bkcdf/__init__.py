@@ -21,7 +21,6 @@ from .boundary import (
 )
 from .distributions import (
     BetaMixture,
-    Reflected,
     Uniform,
     replicate_rng,
     solve_params,

@@ -12,11 +12,11 @@ way to the support endpoints).  Every region's kernel is the base kernel
 K under a shape (scale s, lo, hi, weight w, norm), as in ``boundary``: the
 identity (1, -1, 1, 1, 1) in the interior and the family's shape(alpha)
 at x = a + alpha*h.  In t = u/s it is w/norm*K(t) on [lo/s, hi/s], so one
-routine, ``_moments``, evaluates both integrals for every region.  The
-right strip reflects the distribution and reuses the left-strip kernel:
-integrating the right kernel directly leaves E Kbar^2 and (E Fhat)^2 both
-close to 1 near b, and their difference then drowns in cancellation
-noise, while after reflection both stay small.
+routine, ``_moments``, evaluates both integrals of a CDF for every region.
+The right strip passes the mirrored CDF 1 - F(a + b - y) and reuses the
+left-strip kernel: integrating the right kernel directly leaves E Kbar^2
+and (E Fhat)^2 both close to 1 near b, and their difference then drowns in
+cancellation noise, while after reflection both stay small.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryKernelFamily, clip_alpha
-from .distributions import Reflected
 from .estimator import EstimatorConfig
 from .kernels import BaseKernel
 from .quadrature import integrate
@@ -76,21 +75,21 @@ def _check(dist, cfg: EstimatorConfig, n: int) -> None:
         raise ValueError("distribution support does not match the estimator config")
 
 
-def _moments(dist, base: BaseKernel, x, h, shape, kinks=()):
-    """(bias, n*variance) at x of the estimator whose kernel at x is the base
-    kernel under shape = (scale, lo, hi, weight, norm), kinked at points u.
-    A strip has none inside: F(x - t*s*h) kinks at t = alpha/s, its upper
+def _moments(cdf, base: BaseKernel, x, h, shape, kinks=()):
+    """(bias, n*variance) at x, for data with CDF ``cdf``, of the estimator whose kernel at
+    x is the base kernel under shape = (scale, lo, hi, weight, norm), kinked at points u.
+    A strip has none inside: cdf(x - t*s*h) kinks at t = alpha/s, its upper
     limit.  c = weight/norm, about 1/alpha for k1, stays inside the integrands."""
     s, lo, hi, w, norm = (float(v) for v in shape)
     c, g0, k = w / norm, base.odd_part(-lo / s), base.density
     span = dict(lo=lo / s, hi=hi / s, points=[u / s for u in kinks])
 
     def cdf_at(t):
-        return dist.cdf(x - np.asarray(t, dtype=float) * (s * h))
+        return cdf(x - np.asarray(t, dtype=float) * (s * h))
 
     e1 = integrate(lambda t: cdf_at(t) * (c * k(t)), **span)
     e2 = integrate(lambda t: cdf_at(t) * 2.0 * (c * (base.odd_part(t) + g0)) * (c * k(t)), **span)
-    return e1 - dist.cdf(x), max(e2 - e1**2, 0.0)
+    return e1 - cdf(x), max(e2 - e1**2, 0.0)
 
 
 def exact_bias(dist, cfg: EstimatorConfig, alpha: float) -> float:
@@ -112,7 +111,7 @@ def exact_mse_curve(dist, cfg: EstimatorConfig, n: int, alphas) -> list[Pointwis
     out = []
     for alpha in np.asarray(alphas, dtype=float).tolist():
         x = cfg.a + alpha * cfg.h
-        bias, nvar = _moments(dist, cfg.base, x, cfg.h, fam.shape(alpha))
+        bias, nvar = _moments(dist.cdf, cfg.base, x, cfg.h, fam.shape(alpha))
         out.append(PointwiseError(x=x, bias=bias, variance=nvar / n))
     return out
 
@@ -160,18 +159,20 @@ def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
     a, b, h, base, fam = cfg.a, cfg.b, cfg.h, cfg.base, cfg.family
     if fam is None or a + h <= x <= b - h:
         kinks = ((x - b) / h, (x - a) / h)
-        bias, nvar = _moments(dist, base, x, h, (1.0, -1.0, 1.0, 1.0, 1.0), kinks)
+        bias, nvar = _moments(dist.cdf, base, x, h, (1.0, -1.0, 1.0, 1.0, 1.0), kinks)
     elif x <= a or x >= b:
         return 0.0, 0.0
-    elif x < a + h:
-        alpha = clip_alpha((x - a) / h)
-        bias, nvar = _moments(dist, base, x, h, fam.shape(alpha))
-    else:
-        # right strip: the estimate equals 1 minus the left-strip estimate of
-        # the reflected distribution at the mirrored point
+    elif x > b - h:  # tested first, as in Grid: at h = (b - a)/2, a + h may round above b - h
+        # right strip: 1 minus the left-strip estimate at the mirrored point of the mirrored CDF
+        def mirrored(y):
+            return 1.0 - dist.cdf((a + b) - np.asarray(y, dtype=float))
+
         alpha = clip_alpha((b - x) / h)
-        bias, nvar = _moments(Reflected(dist), base, a + alpha * h, h, fam.shape(alpha))
+        bias, nvar = _moments(mirrored, base, a + alpha * h, h, fam.shape(alpha))
         bias = -bias
+    else:
+        alpha = clip_alpha((x - a) / h)
+        bias, nvar = _moments(dist.cdf, base, x, h, fam.shape(alpha))
     return bias, nvar / n
 
 

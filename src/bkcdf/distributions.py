@@ -1,13 +1,12 @@
 """Test distributions: beta mixtures w*B(1,2) + (1-w)*B(2,b) and the uniform,
 with ``cdf``, ``pdf``, ``d2`` (second derivative of the CDF), a ``support``
 tuple, ``roughness`` (integral of d2 squared, in closed form) and two
-samplers driven by numpy Generators; ``Reflected`` is the CDF alone of a
-reflected distribution.  ``sample_batch(rngs, n)`` draws n variates from
-each generator into one row per generator: every generator gives its
-draws in the order a lone one would, and a beta mixture then inverts the
-B(2, b) draws of all rows by 64 elementwise bisection steps on [0, 1], so a
-draw has the same bits whichever rows come with it.  ``sample(rng, n)`` is
-its one-generator case.
+samplers driven by numpy Generators.  ``sample_batch(rngs, n)`` draws n
+variates from each generator into one row per generator: every generator
+gives its draws in the order a lone one would, and a beta mixture then
+inverts the B(2, b) draws of all rows by 64 elementwise bisection steps on
+[0, 1], so a draw has the same bits whichever rows come with it.
+``sample(rng, n)`` is its one-generator case.
 """
 
 from __future__ import annotations
@@ -167,26 +166,6 @@ class BetaMixture:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.sample_batch([rng], n)[0]
-
-
-class Reflected:
-    """CDF of a + b - X for X from an inner distribution.
-
-    Used for right-boundary analysis: the right-strip behaviour of the
-    estimator for F matches the left-strip behaviour for the reflected
-    distribution.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.support = inner.support
-
-    def __repr__(self) -> str:
-        return f"Reflected({self.inner!r})"
-
-    def cdf(self, x):
-        a, b = self.support
-        return 1.0 - self.inner.cdf((a + b) - np.asarray(x, dtype=float))
 
 
 def solve_params(target_d1: float, target_d2: float) -> BetaMixture:

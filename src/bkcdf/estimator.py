@@ -240,10 +240,10 @@ class Grid:
         if any(f is not None and f.base != cfg.base for f in self.families):
             raise ValueError("families must use the grid's base kernel")
         a, b, h = cfg.a, cfg.b, cfg.h
-        # xs is sorted, so each region is a run: (a, a+h), [a+h, b-h] and (b-h, b)
+        # regions are runs of sorted xs: (a, a+h), [a+h, b-h], (b-h, b); a point in both goes right
         i, k = np.searchsorted(xs, [a, b - h], "right").tolist()
         j, l = np.searchsorted(xs, [a + h, b], "left").tolist()
-        left, right = self.left, self.right = slice(i, j), slice(k, l)
+        left, right = self.left, self.right = slice(i, min(j, k)), slice(k, l)
         self.mid = slice(j, k)
         self.blocks, self.pinned = _Blocks(cfg, xs), np.where(xs < b, 0.0, 1.0)
         # the right strip reflected and reversed, so that its alpha ascends as the left's does

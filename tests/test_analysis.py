@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bkcdf.analysis import (
     MiseTerms,
     NoOptimalBandwidthError,
     PointwiseError,
+    _moments,
     asymptotic_pointwise,
     exact_bias,
     exact_integrated_variance,
@@ -14,9 +17,9 @@ from bkcdf.analysis import (
     mise_terms,
     pointwise_error,
 )
-from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
-from bkcdf.distributions import BetaMixture, Reflected, Uniform, solve_params
-from bkcdf.estimator import EstimatorConfig
+from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily, clip_alpha
+from bkcdf.distributions import BetaMixture, Uniform, replicate_rng, solve_params
+from bkcdf.estimator import EstimatorConfig, Grid, evaluate_grid
 from bkcdf.kernels import KERNEL_NAMES, BaseKernel
 from bkcdf.quadrature import integrate
 
@@ -294,6 +297,10 @@ def test_strip_moments_match_the_family_density_oracle(base):
     # independent route to the same two moments on both strips
     h = 0.2
     for dist in (BetaMixture(0.75, 5.0), solve_params(1.5, 30.0), BetaMixture(0.0, 2.0)):
+        # the law of 1 - X, whose CDF is 1 - F(1 - y)
+        mirror = SimpleNamespace(
+            support=dist.support, cdf=lambda y: 1.0 - dist.cdf(1.0 - np.asarray(y, dtype=float))
+        )
         for variant in FAMILY_NAMES:
             fam = BoundaryKernelFamily(variant, base)
             cfg = EstimatorConfig(0.0, 1.0, h, base, fam)
@@ -306,11 +313,91 @@ def test_strip_moments_match_the_family_density_oracle(base):
                 if x == 1.0:  # b - alpha*h rounds to b: no right-strip point
                     continue
                 alpha_r = (1.0 - x) / h  # the mirrored cut point the analysis uses
-                mirror = Reflected(dist)
                 mean, nvar = strip_oracle(mirror, fam, h, alpha_r)
                 got = pointwise_error(dist, cfg, 1, x)
                 assert abs(got.bias + (mean - mirror.cdf(alpha_r * h))) <= 1e-13 * mean
                 assert abs(got.variance - nvar) <= 1e-13 * nvar
+
+
+def bootstrap_samples():
+    """(sample, h) on [0, 1], all drawn from BetaMixture(0.75, 5): n = 20;
+    n = 20 with ties and a datum at a; n = 50 with ties."""
+    dist = BetaMixture(0.75, 5.0)
+    plain = dist.sample(replicate_rng(19, 0), 20)
+    tied = dist.sample(replicate_rng(19, 1), 20)
+    tied[[1, 5]], tied[[2, 3]], tied[0] = tied[4], tied[6], 0.0
+    many = dist.sample(replicate_rng(19, 2), 50)
+    many[10:14], many[20:22] = many[9], many[30]
+    return [(plain, 0.25), (tied, 0.25), (many, 0.1)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_moments_of_the_empirical_cdf_are_the_estimate_and_its_bootstrap_variance(case):
+    # under the empirical F_n of a sample, E Fhat(x) is Fhat(x) on that sample
+    # and n*Var Fhat(x) the bootstrap variance mean(Kbar^2) - mean(Kbar)^2
+    # (Efron 1979); with every jump a kink the integrals are exact piecewise
+    # polynomials, so the analysis and the estimator meet to rounding
+    data, h = bootstrap_samples()[case]
+    a, b, n = 0.0, 1.0, data.size
+    xs = np.array([1e-3, 0.01, h / 2, h, 0.3, 0.5, 0.7, 1 - h, 1 - h / 2, 0.99, 1 - 1e-3])
+    order = np.sort(data)
+    mirrored = np.sort((a + b) - data)
+
+    def f_n(y):
+        return np.searchsorted(order, y, "right") / n
+
+    def f_n_mirrored(y):
+        return 1.0 - np.searchsorted(order, (a + b) - np.asarray(y, dtype=float), "left") / n
+
+    worst = [0.0, 0.0]
+    for base in (BaseKernel(name) for name in KERNEL_NAMES):
+        for variant in (None, *FAMILY_NAMES):
+            fam = None if variant is None else BoundaryKernelFamily(variant, base)
+            cfg = EstimatorConfig(a, b, h, base, fam)
+            est = evaluate_grid(data, cfg, xs)
+            for x, fhat in zip(xs.tolist(), est.tolist()):
+                if fam is None or a + h <= x <= b - h:
+                    point, cdf, sample = x, f_n, data
+                    shape = (1.0, -1.0, 1.0, 1.0, 1.0)
+                    kbar = base.antiderivative((x - data) / h)
+                elif x > b - h:  # the left-strip estimate of the mirrored sample is 1 - Fhat
+                    alpha = clip_alpha((b - x) / h)
+                    point, cdf, sample, fhat = a + alpha * h, f_n_mirrored, mirrored, 1.0 - fhat
+                    shape = fam.shape(alpha)
+                    kbar = fam.left_antiderivative((point - mirrored) / h, alpha)
+                else:
+                    alpha = clip_alpha((x - a) / h)
+                    point, cdf, sample = x, f_n, data
+                    shape = fam.shape(alpha)
+                    kbar = fam.left_antiderivative((x - data) / h, alpha)
+                kinks = (point - sample) / h
+                bias, nvar = _moments(cdf, base, point, h, shape, kinks)
+                bootstrap = np.mean(kbar**2) - np.mean(kbar) ** 2
+                worst[0] = max(worst[0], abs(bias + cdf(point) - fhat))
+                worst[1] = max(worst[1], abs(nvar - bootstrap))
+    assert worst[0] <= 2e-15 and worst[1] <= 2e-15, worst
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+def test_a_point_in_both_strips_is_the_right_strips(variant):
+    # at h = (b - a)/2 = 1.4500000000000002, fl(a + h) = 0.7500000000000002 lies
+    # above fl(b - h) = 0.75; the analysis, like Grid, gives a point between them
+    # to the right strip
+    a, b, x = -0.7, 2.2, 0.7500000000000001
+    h = 0.5 * (b - a)
+    assert b - h < x < a + h
+    dist = Uniform(a, b)
+    cfg = EstimatorConfig(a, b, h, EPAN, BoundaryKernelFamily(variant, EPAN))
+    got = pointwise_error(dist, cfg, 1, x)
+    alpha = clip_alpha((b - x) / h)
+
+    def mirrored(y):
+        return 1.0 - dist.cdf((a + b) - np.asarray(y, dtype=float))
+
+    bias, nvar = _moments(mirrored, EPAN, a + alpha * h, h, cfg.family.shape(alpha))
+    assert (got.bias, got.variance) == (-bias, nvar)
+    grid = Grid([x], cfg, [cfg.family])
+    assert grid.xs[grid.left].size == 0 and grid.xs[grid.right].tolist() == [x]
 
 
 @pytest.mark.parametrize("variant", FAMILY_NAMES)

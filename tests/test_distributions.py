@@ -7,7 +7,6 @@ import pytest
 import bkcdf
 from bkcdf.distributions import (
     BetaMixture,
-    Reflected,
     Uniform,
     replicate_rng,
     solve_params,
@@ -22,7 +21,6 @@ TARGETS = [(d1, d2) for d1 in (0.0, 0.5, 1.0, 1.5) for d2 in (6.0, 30.0)]
     [
         bkcdf.BaseKernel("biweight"),
         bkcdf.BoundaryKernelFamily("k3", bkcdf.BaseKernel("uniform")),
-        Reflected(BetaMixture(0.75, 5.0)),
         Uniform(-2.0, 3.5),
     ],
     ids=repr,
@@ -189,13 +187,6 @@ def test_sampling_matches_cdf():
     i = np.arange(1, n + 1)
     ks = max(np.max(i / n - f), np.max(f - (i - 1) / n))
     assert ks < 1.63 / np.sqrt(n)
-
-
-def test_reflected():
-    dist = BetaMixture(0.4, 5.0)
-    refl = Reflected(dist)
-    for x in (0.0, 0.2, 0.5, 0.77, 1.0):
-        assert refl.cdf(x) == pytest.approx(1.0 - dist.cdf(1.0 - x), abs=1e-15)
 
 
 BATCH_DISTS = [

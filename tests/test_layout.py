@@ -87,3 +87,19 @@ def test_estimator_and_analysis_do_not_use_the_family_oracle_methods():
                 if node.attr != "support" or id(node) in called:
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_analysis_imports_nothing_from_distributions():
+    # the analysis integrates the CDF it is given; the right strip mirrors it
+    # in place, so no distribution class is needed to carry 1 - F(a + b - y)
+    path = SOURCES[0].parent / "analysis.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"analysis.py:{node.lineno}" for m in modules if "distributions" in m.split(".")]
+    assert found == []
