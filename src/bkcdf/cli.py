@@ -1,11 +1,12 @@
 """Command line interface.
 
 Every subcommand emits CSV with a header row and full-precision floats,
-so downstream plotting can reproduce the figures without loss.  Exit
-codes: 0 success, 1 numerical failure, 2 rejected input.  A flag that
-argparse itself rejects prints the subcommand's usage and an error line;
-any other rejected input (a validation or I/O error) raises ValueError
-or OSError, which ``main`` reports as one ``error:`` line.
+so downstream plotting can reproduce the figures without loss: each
+handler returns its rows as text, a float as the repr of a Python float.
+Exit codes: 0 success, 1 numerical failure, 2 rejected input.  A flag
+that argparse itself rejects prints the subcommand's usage and an error
+line; any other rejected input (a validation or I/O error) raises
+ValueError or OSError, which ``main`` reports as one ``error:`` line.
 
 A command's time is its setup, mostly numpy's import (about 0.2 s),
 then the command itself, then the interpreter's exit.  Importing this
@@ -42,16 +43,8 @@ from .simulation import FAMILY_CHOICES, SimConfig, family_for, resolve_bandwidth
 gc.freeze()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # np.float64 too, whose own repr names its type
-        return float.__repr__(value)
-    return str(value)
-
-
 def _emit(header, rows, out_path):
-    rows = [row if isinstance(row, str) else ",".join([_fmt(v) for v in row]) for row in rows]
-    lines = [",".join(header), *rows]
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([",".join(header), *rows]) + "\n"
     if out_path and out_path != "-":
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -124,7 +117,6 @@ def _cmd_estimate(args, base, dist):
     cfg = EstimatorConfig(args.a, args.b, args.h, base, family_for(args.family, base))
     grid = np.linspace(args.a, args.b, args.grid)
     values = evaluate_grid(data, cfg, grid)
-    # the bytes _fmt gives for floats, in one f-string per row
     return ["x", "Fhat"], [f"{x!r},{v!r}" for x, v in zip(grid.tolist(), values.tolist())]
 
 
@@ -135,7 +127,7 @@ def _cmd_coeffs(args, base, dist):
     for fam in fams:
         for alpha, mu in zip(alphas.tolist(), fam.mu_bias_coeff(alphas).tolist()):
             nu = fam.nu_var_coeff(alpha)
-            rows.append((fam.variant, alpha, mu, mu * mu, nu, -nu))
+            rows.append(f"{fam.variant},{alpha!r},{mu!r},{mu * mu!r},{nu!r},{-nu!r}")
     return ["family", "alpha", "mu", "mu_sq", "nu", "neg_nu"], rows
 
 
@@ -147,14 +139,16 @@ def _cmd_mse_curve(args, base, dist):
     rows = []
     for fam in fams:
         cfg = EstimatorConfig(a, b, h, base, fam)
-        for alpha, rec in zip(alphas, exact_mse_curve(dist, cfg, args.n, alphas)):
-            rows.append((fam.variant, float(alpha), rec.x, rec.bias, rec.variance, rec.mse))
+        for alpha, rec in zip(alphas.tolist(), exact_mse_curve(dist, cfg, args.n, alphas)):
+            rows.append(
+                f"{fam.variant},{alpha!r},{rec.x!r},{rec.bias!r},{rec.variance!r},{rec.mse!r}"
+            )
     return ["family", "alpha", "x", "bias", "variance", "mse"], rows
 
 
 def _cmd_bandwidth(args, base, dist):
     terms = mise_terms(dist, base, args.n)
-    return ["h0", "delta", "roughness"], [(terms.h0, terms.delta_k, dist.roughness())]
+    return ["h0", "delta", "roughness"], [f"{terms.h0!r},{terms.delta_k!r},{dist.roughness()!r}"]
 
 
 def _cmd_mise(args, base, dist):
@@ -166,7 +160,7 @@ def _cmd_mise(args, base, dist):
         cfg = EstimatorConfig(a, b, h, base, fam)
         exact = exact_mise(dist, cfg, args.n, (a, b))
         lead = terms.leading(h, args.n)
-        rows.append((h, exact, lead, exact - lead))
+        rows.append(f"{h!r},{exact!r},{lead!r},{exact - lead!r}")
     return ["h", "exact_mise", "leading", "difference"], rows
 
 
@@ -196,15 +190,16 @@ def _cmd_simulate(args, base, dist):
     if args.summary_out:
         stats = ["min", "q1", "median", "q3", "max", "mean"]
         srows = [
-            (row["family"], f"{row['region_lo']!r}:{row['region_hi']!r}", *(row[k] for k in stats))
+            f"{row['family']},{row['region_lo']!r}:{row['region_hi']!r},"
+            + ",".join([repr(row[k]) for k in stats])
             for row in summarize(res)
         ]
         _emit(["family", "region", *stats], srows, args.summary_out)
+    labels = [f"{lo!r}:{hi!r}" for lo, hi in res.regions]
     rows = []
-    for r in range(res.reps):
-        for j, fam in enumerate(res.families):
-            for k, (lo, hi) in enumerate(res.regions):
-                rows.append((r, fam, f"{lo!r}:{hi!r}", res.ise[r, j, k]))
+    for r, per_rep in enumerate(res.ise.tolist()):
+        for fam, per_fam in zip(res.families, per_rep):
+            rows += [f"{r},{fam},{label},{ise!r}" for label, ise in zip(labels, per_fam)]
     return ["replicate", "family", "region", "ise"], rows
 
 
@@ -212,13 +207,7 @@ def _cmd_check_kernels(args, base, dist):
     fam = BoundaryKernelFamily(args.family, base)
     alphas = _alpha_grid(args.points)
     rows = [
-        (
-            rec.alpha,
-            rec.c1_residual,
-            rec.c2_residual,
-            int(rec.c1_ok),
-            int(rec.c2_ok),
-        )
+        f"{rec.alpha!r},{rec.c1_residual!r},{rec.c2_residual!r},{int(rec.c1_ok)},{int(rec.c2_ok)}"
         for rec in fam.check_conditions(alphas, args.tol)
     ]
     return ["alpha", "c1_residual", "c2_residual", "c1_ok", "c2_ok"], rows

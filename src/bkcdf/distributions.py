@@ -19,9 +19,9 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
-def _arr(x):
-    a = np.asarray(x, dtype=float)
-    return np.atleast_1d(a), a.ndim == 0
+def _value(out):
+    """A 0-d result as a Python float (a float in gives a float out), an array as it is."""
+    return float(out) if out.ndim == 0 else out
 
 
 def _pow1m(x: np.ndarray, p: float) -> np.ndarray:
@@ -49,20 +49,15 @@ class Uniform:
 
     def cdf(self, x):
         a, b = self.support
-        x, scalar = _arr(x)
-        out = np.clip((x - a) / (b - a), 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        return _value(np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0))
 
     def pdf(self, x):
         a, b = self.support
-        x, scalar = _arr(x)
-        out = np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-        return float(out[0]) if scalar else out
+        x = np.asarray(x, dtype=float)
+        return _value(np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0))
 
     def d2(self, x):
-        x, scalar = _arr(x)
-        out = np.zeros_like(x)
-        return float(out[0]) if scalar else out
+        return _value(np.zeros_like(np.asarray(x, dtype=float)))
 
     def roughness(self) -> float:
         return 0.0
@@ -103,34 +98,28 @@ class BetaMixture:
         return f"BetaMixture(w={self.w!r}, shape_b={self.shape_b!r})"
 
     def cdf(self, x):
-        x, scalar = _arr(x)
-        xc = np.clip(x, 0.0, 1.0)
-        out = self.w * (2.0 * xc - xc**2) + (1.0 - self.w) * self._cdf_b2(xc)
-        out[x <= 0.0] = 0.0
-        out[x >= 1.0] = 1.0
-        return float(out[0]) if scalar else out
+        x = np.asarray(x, dtype=float)
+        xc = np.clip(x, 0.0, 1.0)  # a numpy scalar for a 0-d x: its xc**2 calls C pow
+        out = self.w * (2.0 * xc - xc * xc) + (1.0 - self.w) * self._cdf_b2(xc)
+        return _value(np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out)))
 
     def pdf(self, x):
-        x, scalar = _arr(x)
+        x = np.asarray(x, dtype=float)
         b = self.shape_b
-        inside = (x >= 0.0) & (x <= 1.0)
         xc = np.clip(x, 0.0, 1.0)
         out = self.w * 2.0 * (1.0 - xc) + (1.0 - self.w) * b * (b + 1.0) * xc * _pow1m(
             xc, b - 1.0
         )
-        out[~inside] = 0.0
-        return float(out[0]) if scalar else out
+        return _value(np.where((x >= 0.0) & (x <= 1.0), out, 0.0))
 
     def d2(self, x):
-        x, scalar = _arr(x)
+        x = np.asarray(x, dtype=float)
         b = self.shape_b
-        inside = (x >= 0.0) & (x <= 1.0)
         xc = np.clip(x, 0.0, 1.0)
         out = -2.0 * self.w + (1.0 - self.w) * b * (b + 1.0) * _pow1m(xc, b - 2.0) * (
             (1.0 - xc) - (b - 1.0) * xc
         )
-        out[~inside] = 0.0
-        return float(out[0]) if scalar else out
+        return _value(np.where((x >= 0.0) & (x <= 1.0), out, 0.0))
 
     def roughness(self) -> float:
         # d2 = -2w + c*g, c = (1-w)*b*(b+1), where g = (1-x)^(b-2)*(1-b*x), the

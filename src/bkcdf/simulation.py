@@ -99,6 +99,8 @@ def run_ise(cfg: SimConfig) -> SimResult:
     regions = ((a, a + h), (b - h, b), (a, b)) if cfg.regions is None else cfg.regions
     regions = tuple((float(lo), float(hi)) for lo, hi in regions)
     for lo, hi in regions:
+        if lo > hi:
+            raise ValueError(f"region {lo!r}:{hi!r} has lo > hi")
         if not (a <= lo <= hi <= b):
             raise ValueError("regions must be contained in the support")
 
@@ -107,9 +109,7 @@ def run_ise(cfg: SimConfig) -> SimResult:
     fams = [family_for(f, cfg.base) for f in cfg.families]
     grid = Grid(np.sort(np.concatenate([x for x, _ in nodes])), est, fams)
     cells = [(np.searchsorted(grid.xs, x), w) for x, w in nodes]
-    ref = np.zeros(grid.xs.size)  # F at every region's nodes, subtracted grid-wide
-    for (at, _), (x, _) in zip(cells, nodes):
-        ref[at] = cfg.dist.cdf(x)
+    ref = cfg.dist.cdf(grid.xs)  # F at every region's nodes, subtracted grid-wide
 
     ise = np.zeros((cfg.reps, len(cfg.families), len(regions)))
     per_chunk = max(1, SAMPLE_CHUNK // cfg.n)

@@ -124,6 +124,7 @@ EST = ["estimate", "--data", "{tmp}/data.txt"]  # a two-point sample
             "bandwidth must satisfy 0 < h <= (b - a)/2",
         ),
         (SIM + ["--reps", "0"], "need n >= 1 and reps >= 1"),
+        (SIM + ["--region", "0.5:0.2"], "region 0.5:0.2 has lo > hi"),
     ],
 )
 def test_rejected_input_prints_one_error_line(tmp_path, capsys, argv, message):
@@ -559,12 +560,32 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in lines.splitlines() if line.startswith("bkcdf ")]
 
 
+def _is_literal(field):
+    """A name, an int, a float's repr, or a region: two float reprs joined by ':'."""
+
+    def is_float(text):
+        try:
+            return repr(float(text)) == text
+        except ValueError:
+            return False
+
+    parts = field.split(":")
+    return bool(re.fullmatch(r"[A-Za-z_]\w*|-?\d+", field)) or (
+        len(parts) <= 2 and all(map(is_float, parts))
+    )
+
+
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
 def test_readme_example_runs(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     np.savetxt("sample.txt", np.random.default_rng(0).beta(2.0, 3.0, 200))
     assert main(argv) == 0
-    assert re.fullmatch(r"\w+(,\w+)+", capsys.readouterr().out.split("\n")[0])
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"\w+(,\w+)+", out.split("\n")[0])
+    # every field a Python literal: a handler writing np.float64(...) fails here
+    texts = [out, *(path.read_text() for path in sorted(tmp_path.glob("*.csv")))]
+    fields = [f for text in texts for line in text.splitlines()[1:] for f in line.split(",")]
+    assert [f for f in fields if not _is_literal(f)] == []
 
 
 @pytest.mark.parametrize("module, frozen", [("bkcdf", False), ("bkcdf.cli", True)])
@@ -696,11 +717,13 @@ def test_estimate_rows_are_the_bytes_fmt_gives(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "evaluate_grid", lambda values, cfg, grid: np.array(AWKWARD))
     assert main(argv + ["--grid", str(len(AWKWARD))]) == 0
     grid = np.linspace(0.0, 1.0, len(AWKWARD))
-    rows = [f"{cli._fmt(x)},{cli._fmt(v)}" for x, v in zip(grid, np.array(AWKWARD))]
+    rows = [f"{float.__repr__(x)},{float.__repr__(v)}" for x, v in zip(grid, np.array(AWKWARD))]
     assert capsys.readouterr().out == "\n".join(["x,Fhat", *rows]) + "\n"
     # and in the grid's column, straight from the handler
     args = argparse.Namespace(data=argv[2], a=-1e16, b=2.0**53, h=1.0, family="classical", grid=3)
     header, rows = cli._cmd_estimate(args, BaseKernel("epanechnikov"), None)
     grid = np.linspace(-1e16, 2.0**53, 3)
     assert header == ["x", "Fhat"]
-    assert rows == [f"{cli._fmt(x)},{cli._fmt(v)}" for x, v in zip(grid, np.array(AWKWARD[:3]))]
+    assert rows == [
+        f"{float.__repr__(x)},{float.__repr__(v)}" for x, v in zip(grid, np.array(AWKWARD[:3]))
+    ]

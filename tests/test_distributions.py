@@ -98,6 +98,35 @@ def test_cdf_monotone():
     assert np.all(np.diff(vals) >= 0.0)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Uniform(),
+        Uniform(-2.0, 3.5),
+        BetaMixture(0.75, 5.0),
+        BetaMixture(0.25, 37.3),
+        BetaMixture(0.4, 2.5),
+        BetaMixture(0.0, 2.0),
+        BetaMixture(1.0, 2.0),
+        solve_params(0.5, 30.0),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("method", ["cdf", "pdf", "d2"])
+def test_a_float_gives_a_float_with_the_array_bits(dist, method):
+    # a 0-d input's arithmetic runs on numpy scalars, whose x**2, for one,
+    # calls C pow where an array squares, and can differ in the last bit
+    lo, hi = dist.support
+    points = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53, math.nextafter(1.0, 2.0), -1e-300, 0.5]
+    points += [math.nan, math.inf, -math.inf, lo - 1.0, math.nextafter(lo, -math.inf), hi + 1.0]
+    points += np.random.default_rng(0).uniform(lo, hi, 2000).tolist()
+    f = getattr(dist, method)
+    for x, want in zip(points, f(np.array(points)).tolist()):
+        got = f(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
+
+
 def test_solve_params_values():
     d = solve_params(0.0, 6.0)
     assert (d.w, d.shape_b) == (0.0, 2.0)
