@@ -68,10 +68,10 @@ class MiseTerms:
         return self.v0 - h * self.v1 / n + self.b4 * h**4
 
 
-def _check(dist, cfg: EstimatorConfig, n: int) -> None:
+def _check(n: int, dist=None, cfg=None) -> None:
     if not 1 <= n < np.inf:  # also false for a NaN n
         raise ValueError("need a finite n >= 1")
-    if dist.support != (cfg.a, cfg.b):
+    if cfg is not None and dist.support != (cfg.a, cfg.b):
         raise ValueError("distribution support does not match the estimator config")
 
 
@@ -104,7 +104,7 @@ def exact_variance(dist, cfg: EstimatorConfig, alpha: float, n: int) -> float:
 
 def exact_mse_curve(dist, cfg: EstimatorConfig, n: int, alphas) -> list[PointwiseError]:
     """Exact pointwise errors across the left boundary strip."""
-    _check(dist, cfg, n)
+    _check(n, dist, cfg)
     fam = cfg.family
     if fam is None:
         raise ValueError("a boundary kernel family is required")
@@ -120,8 +120,7 @@ def asymptotic_pointwise(
     dist, fam: BoundaryKernelFamily, h: float, alpha: float, n: int
 ) -> PointwiseError:
     """Leading-term bias and variance at the left-strip point a + alpha*h."""
-    if not 1 <= n < np.inf:  # also false for a NaN n
-        raise ValueError("need a finite n >= 1")
+    _check(n)
     if not 0.0 < h < np.inf:
         raise ValueError("bandwidth must be positive and finite")
     a = dist.support[0]
@@ -134,8 +133,7 @@ def asymptotic_pointwise(
 
 def mise_terms(dist, base: BaseKernel, n: int) -> MiseTerms:
     """Leading MISE terms and the asymptotically optimal bandwidth."""
-    if not 1 <= n < np.inf:  # also false for a NaN n
-        raise ValueError("need a finite n >= 1")
+    _check(n)
     a, b = dist.support
     i0 = integrate(lambda x: dist.cdf(x) * (1.0 - dist.cdf(x)), a, b)
     rough = dist.roughness()
@@ -178,7 +176,7 @@ def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
 
 def pointwise_error(dist, cfg: EstimatorConfig, n: int, x: float) -> PointwiseError:
     """Exact pointwise error at any finite x, dispatching on the strip."""
-    _check(dist, cfg, n)
+    _check(n, dist, cfg)
     if not np.isfinite(x):  # a NaN would fail every region test below
         raise ValueError(f"x must be finite, got {float(x)!r}")
     bias, var = _pointwise(dist, cfg, n, float(x))
@@ -188,7 +186,7 @@ def pointwise_error(dist, cfg: EstimatorConfig, n: int, x: float) -> PointwiseEr
 def _integrated(dist, cfg: EstimatorConfig, n: int, region, squared_bias):
     """Integral over a region of the pointwise variance, plus the squared
     bias when squared_bias is set."""
-    _check(dist, cfg, n)
+    _check(n, dist, cfg)
     lo, hi = float(region[0]), float(region[1])
     if not (cfg.a <= lo <= hi <= cfg.b):
         raise ValueError("region must be contained in [a, b]")

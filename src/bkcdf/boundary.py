@@ -13,19 +13,19 @@ with these parameters (``BoundaryKernelFamily.shape``):
     k2      alpha  -alpha  alpha  1       1
     k3      1      -1      alpha  alpha   alpha*P0(alpha) - P1(alpha)
 
-where Kbar is the base cumulative, G = Kbar - 1/2 its odd part and Pk(t)
-the integral of u^k K(u) from -1 to t.  k1 is the truncated and
-renormalised base kernel, k2 the base kernel rescaled onto
-[-alpha, alpha], and k3 the truncated base kernel tilted so that the
-weaker moment condition alpha*(1 - mu0) + mu1 = 0 holds.  The cumulative
-and the moments follow in closed form:
+where Kbar is the base cumulative, G = Kbar - 1/2 = Q0 its odd part, Qk(t)
+the integral of u^k K(u) from 0 to t and Pk(t) = Qk(t) - Qk(-1).  k1 is the
+truncated and renormalised base kernel, k2 the base kernel rescaled onto
+[-alpha, alpha], and k3 the truncated base kernel tilted so that the weaker
+moment condition alpha*(1 - mu0) + mu1 = 0 holds.  The cumulative and the
+moments follow in closed form:
 
     int_lo^u KL = weight*(G(clip(u/scale, lo/scale, hi/scale))
                           + G(-lo/scale)) / norm
-    int u^k KL  = weight*scale^k*(Pk(hi/scale) - Pk(lo/scale)) / norm
+    int u^k KL  = weight*scale^k*(Qk(hi/scale) - Qk(lo/scale)) / norm
 
-Through G nothing cancels as alpha -> 0: 2*Kbar(alpha) - 1 rounds to 0
-for alpha below about 1e-16, where 2*G(alpha) keeps full relative accuracy.
+Through the Qk nothing cancels as alpha -> 0: 2*Kbar(alpha) - 1 is 0 below
+alpha ~ 1e-16, where 2*G(alpha) and k1's moments keep full relative accuracy.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ class BoundaryKernelFamily:
     def moment(self, order: int, alpha):
         """Closed-form moment of u^order against the left kernel, order 0, 1 or 2."""
         s, lo, hi, w, norm = self.shape(alpha)
-        pm = self.base.partial_moment
-        out = w * s**order * (pm(order, hi / s) - pm(order, lo / s)) / norm
+        out = w * s**order * self.base.moment_between(order, lo / s, hi / s) / norm
         return out if np.ndim(out) else float(out)
 
     def mu_bias_coeff(self, alpha):
@@ -116,12 +115,11 @@ class BoundaryKernelFamily:
     def m1(self, alpha: float) -> float:
         """First moment of 2*Kbar*K over the support [lo, hi], in closed form
         by parts: hi * mu0^2 - integral of Kbar^2, where on [lo, hi] the left
-        cumulative Kbar = weight*(G(u/scale) + G(-lo/scale))/norm is a
-        polynomial in u."""
+        cumulative Kbar = weight*(G(t) + G(-lo/scale))/norm is a polynomial in
+        t = u/scale, and du = scale*dt."""
         s, lo, hi, w, norm = self.shape(float(alpha))
-        g = self.base.odd / s ** np.arange(self.base.odd.size)
-        g[0] = self.base.odd_part(-lo / s)
-        return float(hi * self.moment(0, alpha) ** 2 - square_integral(w * g / norm, lo, hi))
+        kbar = w * np.r_[self.base.odd_part(-lo / s), self.base.odd[1:]] / norm
+        return float(hi * self.moment(0, alpha) ** 2 - s * square_integral(kbar, lo / s, hi / s))
 
     def nu_var_coeff(self, alpha: float) -> float:
         """Variance correction coefficient m1(alpha) + alpha*(1 - mu0^2)."""

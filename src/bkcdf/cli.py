@@ -106,6 +106,15 @@ def _parse_families(text):
     return fams
 
 
+def _region(text):
+    """(lo, hi) from a --region value lo:hi; run_ise checks the pair."""
+    try:
+        lo, hi = (float(t) for t in text.split(":"))
+    except ValueError:
+        raise ValueError(f"bad region {text!r}; expected lo:hi") from None
+    return lo, hi
+
+
 def _alpha_grid(points: int) -> np.ndarray:
     return (np.arange(points) + 1.0) / (points + 1.0)
 
@@ -166,16 +175,7 @@ def _cmd_mise(args, base, dist):
 
 def _cmd_simulate(args, base, dist):
     fams = _parse_families(args.families)
-    regions = None
-    if args.region:
-        regions = []
-        for text in args.region:
-            try:
-                lo, hi = (float(t) for t in text.split(":"))
-            except ValueError:
-                raise ValueError(f"bad region {text!r}; expected lo:hi") from None
-            regions.append((lo, hi))
-        regions = tuple(regions)
+    regions = tuple(_region(text) for text in args.region) if args.region else None
     cfg = SimConfig(
         dist=dist,
         n=args.n,

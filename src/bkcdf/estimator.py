@@ -1,15 +1,15 @@
 """Kernel distribution function estimators: one grid, many samples.
 
-A ``Grid`` is built once for sorted points, an a, b, h and base kernel
-and the estimators wanted: classical, or a family that corrects the
-strips (a, a+h) and (b-h, b), pins 0 and 1 outside [a, b] and is
-classical in between.  It does the work that depends on the points
-alone: the strip split, the classical blocks with their centres and Taylor
-rows, and each family's shape, window edges and Taylor rows per strip.
-``Grid.evaluate`` does the rest for each sample: sort, window counts,
-prefix power sums with one row per power, gathers from those rows and a
-Horner sum over the cached Taylor rows.  ``evaluate_grid`` gives one
-estimator.
+A ``Grid`` is built once for sorted points and one ``EstimatorConfig``
+per estimator wanted, all over one a, b, h and base kernel: classical, or
+a family that corrects the strips (a, a+h) and (b-h, b), pins 0 and 1
+outside [a, b] and is classical in between.  It does the work that
+depends on the points alone: the strip split, the classical blocks with
+their centres and Taylor rows, and each family's shape, window edges and
+Taylor rows per strip.  ``Grid.evaluate`` does the rest for each sample:
+sort, window counts, prefix power sums with one row per power, gathers
+from those rows and a Horner sum over the cached Taylor rows.
+``evaluate_grid`` gives one estimator.
 
 Each cumulative kernel is constant outside a window and a polynomial in
 it, so on the sorted sample the estimate is a count below the window plus
@@ -77,7 +77,7 @@ class EstimatorConfig:
         if float(self.b) - float(self.a) == math.inf:
             raise ValueError("b - a overflows")
         if not 0.0 < self.h <= 0.5 * (self.b - self.a):
-            raise ValueError("bandwidth must satisfy 0 < h <= (b - a)/2")
+            raise ValueError(f"bandwidth must satisfy 0 < h <= (b - a)/2, got h={float(self.h)!r}")
         if self.family is not None and self.family.base != self.base:
             raise ValueError("the family must use the configured base kernel")
 
@@ -224,11 +224,11 @@ class _Strip:
 
 
 class Grid:
-    """Sorted finite points, the a, b, h and base kernel of cfg (not its
-    family) and the estimators in families (None for classical), with the
-    work that depends on the points alone done once."""
+    """Sorted finite points and the estimators in cfgs, one EstimatorConfig
+    each over a shared a, b, h and base kernel, with the work that depends on
+    the points alone done once."""
 
-    def __init__(self, points, cfg: EstimatorConfig, families):
+    def __init__(self, points, cfgs):
         xs = self.xs = np.asarray(points, dtype=float)
         if xs.ndim != 1:
             raise ValueError("grid must be one-dimensional")
@@ -236,10 +236,10 @@ class Grid:
             raise ValueError("grid points must be finite")
         if np.any(np.diff(xs) < 0.0):
             raise ValueError("grid must be sorted")
-        self.cfg, self.families = cfg, list(families)
-        if any(f is not None and f.base != cfg.base for f in self.families):
-            raise ValueError("families must use the grid's base kernel")
-        a, b, h = cfg.a, cfg.b, cfg.h
+        cfg = self.cfg = cfgs[0]
+        if any((c.a, c.b, c.h, c.base) != (cfg.a, cfg.b, cfg.h, cfg.base) for c in cfgs):
+            raise ValueError("the estimators must share a, b, h and the base kernel")
+        a, b, h, self.families = cfg.a, cfg.b, cfg.h, [c.family for c in cfgs]
         # regions are runs of sorted xs: (a, a+h), [a+h, b-h], (b-h, b); a point in both goes right
         i, k = np.searchsorted(xs, [a, b - h], "right").tolist()
         j, l = np.searchsorted(xs, [a + h, b], "left").tolist()
@@ -255,7 +255,7 @@ class Grid:
 
     def evaluate(self, values) -> list[np.ndarray]:
         """The estimate at xs from the sample values (finite, inside [a, b])
-        of each of the grid's families, in order, each in an array of its own."""
+        of each of the grid's estimators, in order, each in an array of its own."""
         a, b, h, mid = self.cfg.a, self.cfg.b, self.cfg.h, self.mid
         data = np.asarray(values, dtype=float)
         if data.ndim != 1 or data.size == 0:
@@ -283,7 +283,7 @@ class Grid:
 
 def evaluate_grid(values, cfg: EstimatorConfig, grid) -> np.ndarray:
     """The configured estimate on a sorted grid of finite points."""
-    return Grid(grid, cfg, [cfg.family]).evaluate(values)[0]
+    return Grid(grid, [cfg]).evaluate(values)[0]
 
 
 def is_proper(values, tol: float) -> bool:

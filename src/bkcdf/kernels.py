@@ -37,12 +37,10 @@ class BaseKernel:
             raise ValueError(f"unknown kernel {name!r}; choose from {KERNEL_NAMES}")
         self.name = name
         self._coeffs = np.array(_DENSITY_COEFFS[name])
-        # antiderivatives of u^k K(u), k = 0, 1, 2; k = 0 is Kbar itself
-        self._moment_anti = [
-            P.polyint(np.pad(self._coeffs, (k, 0)), lbnd=-1.0) for k in range(3)
-        ]
-        # odd part G = Kbar - 1/2 (K is even): G(-t) == -G(t) to the bit
-        self.odd = np.concatenate(([0.0], self._moment_anti[0][1:]))
+        # antiderivatives of u^k K(u) through 0, k = 0, 1, 2; row 0 is the odd
+        # part G = Kbar - 1/2 (K is even): G(-t) == -G(t) to the bit
+        self._anti = [P.polyint(np.pad(self._coeffs, (k, 0))) for k in range(3)]
+        self.odd = self._anti[0]
         self.taylor = [  # row k: (-1)^k G^(k)(t)/k! in powers of t
             np.array([(-1) ** k * math.comb(k + q, k) * c for q, c in enumerate(self.odd[k:])])
             for k in range(self.odd.size)
@@ -73,23 +71,28 @@ class BaseKernel:
         out = P.polyval(np.clip(np.asarray(u, dtype=float), -1.0, 1.0), self.odd)
         return out if out.ndim else float(out)
 
-    def partial_moment(self, order: int, alpha):
-        """Integral of u^order K(u) from -1 up to alpha."""
+    def moment_between(self, order: int, lo, hi):
+        """Integral of u^order K(u) from lo to hi in [-1, 1], as a difference of
+        antiderivatives through 0: nothing cancels as [lo, hi] shrinks about 0."""
         if order not in (0, 1, 2):
             raise ValueError("partial moments are implemented for orders 0, 1, 2")
+        out = P.polyval(hi, self._anti[order]) - P.polyval(lo, self._anti[order])
+        return out if np.ndim(out) else float(out)
+
+    def partial_moment(self, order: int, alpha):
+        """Integral of u^order K(u) from -1 up to alpha."""
         alpha = np.asarray(alpha, dtype=float)
         if np.any(alpha < -1.0) or np.any(alpha > 1.0):
             raise ValueError("alpha must lie in [-1, 1]")
-        out = P.polyval(alpha, self._moment_anti[order])
-        return out if out.ndim else float(out)
+        return self.moment_between(order, -1.0, alpha)
 
     def second_moment(self) -> float:
         """Integral of u^2 K(u) over the whole support."""
-        return float(P.polyval(1.0, self._moment_anti[2]))
+        return self.moment_between(2, -1.0, 1.0)
 
     def r_constant(self) -> float:
         """Integral of u * 2 * Kbar(u) * K(u); equals 1 - integral of Kbar^2."""
-        return 1.0 - square_integral(self._moment_anti[0], -1.0, 1.0)
+        return 1.0 - square_integral(P.polysub(self.odd, self.odd_part(-1.0)), -1.0, 1.0)
 
     def delta(self) -> float:
         """Bandwidth constant r^(1/3) * (second moment)^(-2/3)."""

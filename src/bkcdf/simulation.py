@@ -95,7 +95,8 @@ def run_ise(cfg: SimConfig) -> SimResult:
     every region's Simpson nodes, and each replicate is evaluated on it once."""
     a, b = cfg.dist.support
     h = resolve_bandwidth(cfg.h, cfg.dist, cfg.base, cfg.n)
-    est = EstimatorConfig(a, b, h, cfg.base)  # checks h before the default regions use it
+    # one config per estimator; the first checks h before the default regions use it
+    ests = [EstimatorConfig(a, b, h, cfg.base, family_for(f, cfg.base)) for f in cfg.families]
     regions = ((a, a + h), (b - h, b), (a, b)) if cfg.regions is None else cfg.regions
     regions = tuple((float(lo), float(hi)) for lo, hi in regions)
     for lo, hi in regions:
@@ -106,8 +107,7 @@ def run_ise(cfg: SimConfig) -> SimResult:
 
     # a zero-width region's three nodes sit at lo with weight 0: its ISE is 0.0
     nodes = [_simpson_grid(lo, hi) for lo, hi in regions]
-    fams = [family_for(f, cfg.base) for f in cfg.families]
-    grid = Grid(np.sort(np.concatenate([x for x, _ in nodes])), est, fams)
+    grid = Grid(np.sort(np.concatenate([x for x, _ in nodes])), ests)
     cells = [(np.searchsorted(grid.xs, x), w) for x, w in nodes]
     ref = cfg.dist.cdf(grid.xs)  # F at every region's nodes, subtracted grid-wide
 

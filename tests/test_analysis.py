@@ -396,7 +396,7 @@ def test_a_point_in_both_strips_is_the_right_strips(variant):
 
     bias, nvar = _moments(mirrored, EPAN, a + alpha * h, h, cfg.family.shape(alpha))
     assert (got.bias, got.variance) == (-bias, nvar)
-    grid = Grid([x], cfg, [cfg.family])
+    grid = Grid([x], [cfg])
     assert grid.xs[grid.left].size == 0 and grid.xs[grid.right].tolist() == [x]
 
 

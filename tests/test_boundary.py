@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from exact_rational import family_values
 
 from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
 from bkcdf.kernels import KERNEL_NAMES, BaseKernel
@@ -226,3 +229,43 @@ def test_broadcast_over_alpha():
 def test_family_names_are_case_sensitive():
     with pytest.raises(ValueError, match="unknown family 'K1'; choose from"):
         fam("K1")
+
+
+# dyadic cut points down to 2^-40, and coeffs' default grid j/100 as doubles
+EXACT_ALPHAS = [2.0**-40, 2.0**-20, 2.0**-10, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 1 - 2.0**-10]
+EXACT_ALPHAS += [j / 100 for j in range(1, 100)]
+# the scale of the terms each value is the difference of
+TERM_SCALE = {"mu0": 0, "mu1": 1, "mu2": 2, "mu_bias": 2, "m1": 1, "nu": 1}
+EXACT_REL, EXACT_ABS = 4e-15, 5e-16
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_closed_forms_match_exact_rationals(name, variant):
+    # |error| <= EXACT_REL*|exact| + EXACT_ABS*alpha^p, p from TERM_SCALE.  Measured
+    # worst: 2.6e-15 relative (triweight k3's nu at 1 - 2^-10), and, beyond the
+    # relative term, 3.0e-16 of alpha where k3's m1 passes near 0 (triweight at 1/4:
+    # 2.1e-4, 3.5e-13 relative).  Uniform k3's m1 at 1/2 is exactly 0, and triweight
+    # k3's mu1 at 1 - 2^-10 is -2.0e-12 with 1.4e-6 relative error.  Taken through
+    # antiderivatives anchored at -1, k1's mu was 6e-8 off at 2^-10 and 100% at 2^-20.
+    f = fam(variant, BaseKernel(name))
+    for alpha in EXACT_ALPHAS:
+        exact = family_values(variant, name, alpha)
+        got = {f"mu{k}": f.moment(k, alpha) for k in range(3)}
+        got.update(mu_bias=f.mu_bias_coeff(alpha), m1=f.m1(alpha), nu=f.nu_var_coeff(alpha))
+        for key, value in got.items():
+            bound = EXACT_REL * abs(exact[key]) + EXACT_ABS * alpha ** TERM_SCALE[key]
+            assert abs(Fraction(value) - exact[key]) <= bound, (key, alpha)
+        if variant != "k3":  # symmetric kernels: mu1 is exactly 0
+            assert got["mu1"] == 0.0, alpha
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_k2_nu_stays_finite_as_alpha_vanishes(name):
+    # m1 integrated k2's cumulative in u with coefficients alpha^-k, which overflowed
+    # into a NaN nu below alpha ~ 1e-24 (triweight) to 1e-156 (uniform)
+    f = fam("k2", BaseKernel(name))
+    with np.errstate(all="raise"):
+        for alpha in (1e-30, 1e-60, 1e-160, 1e-300):
+            exact = family_values("k2", name, alpha)["nu"]
+            assert abs(Fraction(f.nu_var_coeff(alpha)) - exact) <= EXACT_REL * exact, alpha

@@ -121,7 +121,7 @@ EST = ["estimate", "--data", "{tmp}/data.txt"]  # a two-point sample
         (EST + ["--a=-1.7e308", "--b=1.7e308", "--h=1e308", "--grid=3"], "b - a overflows"),
         (
             EST + ["--a=0", "--b=1", "--h=nan", "--family", "k1"],
-            "bandwidth must satisfy 0 < h <= (b - a)/2",
+            "bandwidth must satisfy 0 < h <= (b - a)/2, got h=nan",
         ),
         (SIM + ["--reps", "0"], "need n >= 1 and reps >= 1"),
         (SIM + ["--region", "0.5:0.2"], "region 0.5:0.2 has lo > hi"),
@@ -482,10 +482,11 @@ def test_simulate_bad_region():
 
 @pytest.mark.parametrize("flags", [["--h", "nan"], ["--h", "-1"], ["--n", "1"]])
 def test_simulate_bad_bandwidth_reported_as_bandwidth(flags, capsys):
-    # --n 1 makes h0 about 1.03, wider than half the support
+    # --n 1 makes h0 about 1.03, wider than half the support; the message names it
     assert main(["simulate", "--w", "0.75", "--b", "5", "--reps", "2"] + flags) == 2
     err = capsys.readouterr().err
-    assert "bandwidth must satisfy 0 < h <= (b - a)/2" in err
+    h = {"nan": "nan", "-1": "-1.0", "1": "1.0336217361284783"}[flags[1]]
+    assert f"bandwidth must satisfy 0 < h <= (b - a)/2, got h={h}" in err
     assert "region" not in err
 
 

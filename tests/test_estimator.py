@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_rational import EXACT_DENSITY
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,14 +129,23 @@ def test_non_finite_grid_point_rejected():
 def test_grid_evaluate_rejects_a_foreign_kernel():
     # the strip sums are built for the grid's base kernel
     cfg = make_cfg(None)
-    grid = Grid([0.1], cfg, [None])
+    grid = Grid([0.1], [cfg])
     assert grid.evaluate([0.1, 0.5])[0].shape == (1,)
+    biweight = BaseKernel("biweight")
+    foreign = EstimatorConfig(0.0, 1.0, 0.2, biweight, BoundaryKernelFamily("k1", biweight))
     with pytest.raises(ValueError):
-        Grid([0.1], cfg, [BoundaryKernelFamily("k1", BaseKernel("biweight"))])
+        Grid([0.1], [cfg, foreign])
+
+
+@pytest.mark.parametrize("other", [dict(a=-0.5), dict(b=2.0), dict(h=0.1)], ids=str)
+def test_grid_rejects_estimators_over_another_support_or_bandwidth(other):
+    # the blocks and strips are built once, for one a, b and h
+    with pytest.raises(ValueError, match="must share a, b, h"):
+        Grid([0.1], [make_cfg(None), make_cfg("k1", **other)])
 
 
 def test_grid_evaluate_returns_an_array_per_estimator():
-    first, second = Grid([0.1, 0.5, 0.9], make_cfg(None), [None, None]).evaluate([0.2, 0.6])
+    first, second = Grid([0.1, 0.5, 0.9], [make_cfg(None), make_cfg(None)]).evaluate([0.2, 0.6])
     assert first is not second
     expect = second.copy()
     first[:] = -1.0
@@ -147,9 +157,8 @@ def test_grid_holds_no_sample_state(base):
     # samples A, B, A on one grid: each result equals a fresh evaluate_grid
     # call on its own sample, so evaluate keeps nothing of a sample
     fams = [None if v is None else BoundaryKernelFamily(v, base) for v in VARIANTS]
-    cfg = EstimatorConfig(0.0, 1.0, 0.2, base)
     xs = np.concatenate([[0.0, 1e-46, 2e-46], np.linspace(0.001, 0.999, 301), [1.0]])
-    grid = Grid(xs, cfg, fams)
+    grid = Grid(xs, [EstimatorConfig(0.0, 1.0, 0.2, base, fam) for fam in fams])
     draws = [BetaMixture(0.5, 4.0).sample(replicate_rng(9, r), 50) for r in range(2)]
     first, second, third = (grid.evaluate(d) for d in (draws[0], draws[1], draws[0]))
     for fam, one, two, three in zip(fams, first, second, third):
@@ -422,6 +431,24 @@ def test_blocks_with_more_points_than_data_match_one_point_calls(base, variant):
         assert evaluate_grid(data, cfg, [x])[0] == v
 
 
+@pytest.mark.parametrize("variant", VARIANTS, ids=str)
+@pytest.mark.parametrize("base", KERNELS, ids=KERNEL_NAMES)
+def test_many_blocks_match_one_point_calls(base, variant):
+    # h = 2^-9 puts the points in 283 blocks, most reaching 0-2 data, where the
+    # tests above use at most about 25; ties, data on the support's ends and
+    # points whose window edge falls on a datum are included
+    h = 2.0**-9
+    fam = None if variant is None else BoundaryKernelFamily(variant, base)
+    cfg = EstimatorConfig(0.0, 1.0, h, base, fam)
+    draws = BetaMixture(0.4, 3.0).sample(replicate_rng(7, 0), 40)
+    data = np.concatenate([draws, [0.0, 1.0, 0.25, 0.25, 0.5 - h, 0.5 + h]])
+    ends = [h / 3, 1.0 - h / 3]
+    xs = np.sort(np.concatenate([np.linspace(-0.01, 1.01, 211), data, data - h, data + h, ends]))
+    vals = evaluate_grid(data, cfg, xs)
+    for x, v in zip(xs, vals):
+        assert evaluate_grid(data, cfg, [x])[0] == v
+
+
 def fsum_mean(terms):
     return np.array([math.fsum(row) for row in terms]) / terms.shape[1]
 
@@ -554,15 +581,6 @@ def test_block_centre_that_overflows_is_rejected():
     cfg = EstimatorConfig(0.0, 1.7e308, 8.5e307, EPAN)
     with pytest.raises(ValueError, match="block centre"):
         evaluate_grid([0.0, 1.7e308], cfg, [0.0, 8.5e307, 1.7e308])
-
-
-# ascending coefficients of each density on [-1, 1], as exact rationals
-EXACT_DENSITY = {
-    "uniform": [Fraction(1, 2)],
-    "epanechnikov": [Fraction(3, 4), 0, Fraction(-3, 4)],
-    "biweight": [Fraction(c, 16) for c in (15, 0, -30, 0, 15)],
-    "triweight": [Fraction(c, 32) for c in (35, 0, -105, 0, 105, 0, -35)],
-}
 
 
 def _exact_kbar(name, u):
