@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BaseKernel, square_integral
+from .kernels import BaseKernel
 
 FAMILY_NAMES = ("k1", "k2", "k3")
 
@@ -113,13 +113,8 @@ class BoundaryKernelFamily:
         return out if np.ndim(out) else float(out)
 
     def m1(self, alpha: float) -> float:
-        """First moment of 2*Kbar*K over the support [lo, hi], in closed form
-        by parts: hi * mu0^2 - integral of Kbar^2, where on [lo, hi] the left
-        cumulative Kbar = weight*(G(t) + G(-lo/scale))/norm is a polynomial in
-        t = u/scale, and du = scale*dt."""
-        s, lo, hi, w, norm = self.shape(float(alpha))
-        kbar = w * np.r_[self.base.odd_part(-lo / s), self.base.odd[1:]] / norm
-        return float(hi * self.moment(0, alpha) ** 2 - s * square_integral(kbar, lo / s, hi / s))
+        """First moment of 2*Kbar*K: the base kernel's m1 under the shape at alpha."""
+        return self.base.m1(self.shape(float(alpha)))
 
     def nu_var_coeff(self, alpha: float) -> float:
         """Variance correction coefficient m1(alpha) + alpha*(1 - mu0^2)."""

@@ -23,12 +23,6 @@ _DENSITY_COEFFS = {
 }
 
 
-def square_integral(coeffs, lo: float, hi: float) -> float:
-    """Integral of p(u)^2 over [lo, hi], p given by ascending coefficients."""
-    sq = P.polyint(P.polymul(coeffs, coeffs))
-    return float(P.polyval(hi, sq) - P.polyval(lo, sq))
-
-
 class BaseKernel:
     """A symmetric probability density on [-1, 1] with closed forms."""
 
@@ -90,9 +84,20 @@ class BaseKernel:
         """Integral of u^2 K(u) over the whole support."""
         return self.moment_between(2, -1.0, 1.0)
 
+    def m1(self, shape) -> float:
+        """First moment of 2*Kbar*K for K under a ``boundary`` shape (scale, lo, hi, weight, norm):
+        by parts hi*mu0^2 - int Kbar^2, Kbar = weight*(G(t) + G(-lo/scale))/norm in t = u/scale,
+        squared in v = t/r, r a power of two at t's reach -lo/scale, where k1's terms are O(1)."""
+        s, lo, hi, w, norm = shape
+        r = 2.0 ** np.ceil(np.log2(-lo / s))
+        c = w * np.r_[self.odd_part(-lo / s), self.odd[1:]] / norm * r ** np.arange(self.odd.size)
+        sq = P.polyint(P.polymul(c, c))
+        mu0 = w * self.moment_between(0, lo / s, hi / s) / norm
+        return float(hi * mu0**2 - s * r * (P.polyval(hi / s / r, sq) - P.polyval(lo / s / r, sq)))
+
     def r_constant(self) -> float:
-        """Integral of u * 2 * Kbar(u) * K(u); equals 1 - integral of Kbar^2."""
-        return 1.0 - square_integral(P.polysub(self.odd, self.odd_part(-1.0)), -1.0, 1.0)
+        """Integral of u * 2 * Kbar(u) * K(u): m1 of K itself, 1 - integral of Kbar^2."""
+        return self.m1((1.0, -1.0, 1.0, 1.0, 1.0))
 
     def delta(self) -> float:
         """Bandwidth constant r^(1/3) * (second moment)^(-2/3)."""

@@ -1,0 +1,70 @@
+"""Byte-identity check of the CLI between two source trees.
+
+    python tests/cli_commands.py OLD_SRC NEW_SRC
+
+runs every command in ``COMMANDS`` in a fresh ``python -m bkcdf.cli`` process
+against each tree (via ``PYTHONPATH``), from the repository root, prints the
+commands whose stdout, stderr or exit code differ, and exits 1 if any do.
+A refactor that claims to keep every output byte runs it against its parent.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+KERNELS = ("uniform", "epanechnikov", "biweight", "triweight")
+DIST = ["--w", "0.75", "--b", "5"]
+TARGETS = ["--d1-at-0", "1.5", "--d2-at-0", "6"]
+SAMPLE = ["--data", "tests/golden/sample.txt", "--a", "0", "--b", "1", "--h", "0.1"]
+
+COMMANDS = [
+    *(
+        ["estimate", *SAMPLE, "--family", fam, "--kernel", kernel]
+        for kernel in KERNELS
+        for fam in ("classical", "k1", "k2", "k3")
+    ),
+    *(["coeffs", "--points", p, "--kernel", k] for k in KERNELS for p in ("9", "99", "999")),
+    *(["check-kernels", "--family", f, "--kernel", k] for k in KERNELS for f in ("k1", "k2", "k3")),
+    *(
+        cmd + ["--kernel", kernel]
+        for kernel in KERNELS
+        for cmd in (
+            ["bandwidth", *DIST],
+            ["mse-curve", *DIST, "--points", "9"],
+            ["mise", *DIST, "--family", "k3", "--h", "0.2", "--h", "0.05"],
+            ["simulate", *DIST, "--reps", "3"],
+        )
+    ),
+    # sim-paper's benchmark command
+    ["simulate", *DIST, "--n", "50", "--families", "classical,k1,k2,k3", "--reps", "30",
+     "--seed", "11"],
+    ["simulate", *DIST, "--reps", "3", "--summary-out", "-"],
+    ["mse-curve", *TARGETS, "--points", "99"],
+    ["mise", *TARGETS, "--family", "k1", "--h", "0.2", "--h", "0.05"],
+    ["bandwidth", "--uniform"],  # exit 1: no optimal bandwidth
+    ["simulate", *DIST, "--reps", "3", "--seed", "-1"],  # exit 2
+]
+
+
+def run(src, cmd):
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bkcdf.cli", *cmd], capture_output=True, env=env, cwd=ROOT
+    )
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    differ = [cmd for cmd in COMMANDS if run(argv[0], cmd) != run(argv[1], cmd)]
+    for cmd in differ:
+        print("differs:", " ".join(cmd))
+    print(f"{len(COMMANDS) - len(differ)} of {len(COMMANDS)} commands identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,7 +1,9 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from exact_rational import beta_mixture_cdf, pointwise, uniform_cdf
 
 from bkcdf.analysis import (
     MiseTerms,
@@ -434,3 +436,32 @@ def test_k3_leads_the_strip_where_the_boundary_density_is_large():
                 if not m["k3"] < min(m["k1"], m["k2"], m["classical"]):
                     failed.append(f"{name} d1={d1} d2={d2}")
     assert failed == []
+
+
+EXACT_CDFS = [
+    (Uniform(), uniform_cdf()),
+    (BetaMixture(0.75, 5.0), beta_mixture_cdf(Fraction(3, 4), 5)),
+    (BetaMixture(0.0, 2.0), beta_mixture_cdf(0, 2)),
+]
+# left strip, a + h, interior, b - h and right strip at h = 1/4: all dyadic
+EXACT_XS = [1 / 1024, 1 / 64, 1 / 8, 3 / 16, 1 / 4, 1 / 2, 3 / 4, 13 / 16, 7 / 8, 63 / 64]
+# n*Var's relative bound per estimator.  Measured worst: 3.9e-13 classical (triweight,
+# BetaMixture(0.75, 5), x = 63/64), 4.6e-12 k1 (Epanechnikov) and 5.7e-12 k2 (triweight),
+# both BetaMixture(0, 2) at x = 1/1024, and 1.7e-14 k3; bias 2.5e-16 absolute at worst
+NVAR_REL = {None: 4e-13, "k1": 5e-12, "k2": 6e-12, "k3": 2e-14}
+BIAS_ABS = 2.5e-16
+
+
+@pytest.mark.parametrize("variant", [None, *FAMILY_NAMES])
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_pointwise_error_matches_exact_rationals(name, variant):
+    # the oracle builds each region's kernel from its definition, the right one from
+    # the estimator's rule KbarR(u) = 1 - KbarL(-u), and integrates the exact CDF
+    base = BaseKernel(name)
+    cfg = EstimatorConfig(0.0, 1.0, 0.25, base, variant and BoundaryKernelFamily(variant, base))
+    for dist, cdf in EXACT_CDFS:
+        for x in EXACT_XS:
+            got = pointwise_error(dist, cfg, 1, x)
+            bias, nvar = pointwise(cdf, variant, name, 0.25, x)
+            assert abs(Fraction(got.bias) - bias) <= BIAS_ABS, (dist, x)
+            assert abs(Fraction(got.variance) - nvar) <= NVAR_REL[variant] * nvar, (dist, x)

@@ -269,3 +269,14 @@ def test_k2_nu_stays_finite_as_alpha_vanishes(name):
         for alpha in (1e-30, 1e-60, 1e-160, 1e-300):
             exact = family_values("k2", name, alpha)["nu"]
             assert abs(Fraction(f.nu_var_coeff(alpha)) - exact) <= EXACT_REL * exact, alpha
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_k1_nu_stays_finite_as_alpha_vanishes(name):
+    # m1 squared k1's cumulative with coefficients about 1/alpha, which overflowed into
+    # a NaN nu below alpha ~ 3.7e-155; K's alpha^2-sized coefficients rightly underflow
+    f = fam("k1", BaseKernel(name))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for alpha in (1e-30, 1e-100, 1e-155, 1e-160, 1e-200, 1e-300, 2.0**-1022):
+            exact = family_values("k1", name, alpha)["nu"]
+            assert abs(Fraction(f.nu_var_coeff(alpha)) - exact) <= EXACT_REL * exact, alpha

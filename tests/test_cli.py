@@ -16,6 +16,7 @@ from bkcdf.cli import main
 from bkcdf.distributions import BetaMixture
 from bkcdf.kernels import BaseKernel
 from bkcdf.simulation import SimConfig, run_ise
+from cli_commands import COMMANDS
 from test_cli_golden import assert_matches_golden
 
 
@@ -728,3 +729,11 @@ def test_estimate_rows_are_the_bytes_fmt_gives(tmp_path, monkeypatch, capsys):
     assert rows == [
         f"{float.__repr__(x)},{float.__repr__(v)}" for x, v in zip(grid, np.array(AWKWARD[:3]))
     ]
+
+
+def test_cli_commands_parse():
+    # the byte-identity list in cli_commands.py names only real commands and options
+    assert len(COMMANDS) >= 62
+    for cmd in COMMANDS:
+        args, unknown = cli.build_parser(cmd[0]).parse_known_args(cmd)
+        assert unknown == [] and args.command == cmd[0], cmd
