@@ -10,7 +10,7 @@ where k is the kernel the estimator uses at x and Kbar its cumulative,
 with the CDF clamped to [0, 1] (which keeps the identities exact all the
 way to the support endpoints).  Every region's kernel is the base kernel
 K under a shape (scale s, lo, hi, weight w, norm), as in ``boundary``: the
-identity (1, -1, 1, 1, 1) in the interior and the family's shape(alpha)
+identity ``IDENTITY_SHAPE`` in the interior and the family's shape(alpha)
 at x = a + alpha*h.  In t = u/s it is w/norm*K(t) on [lo/s, hi/s], so one
 routine, ``_moments``, evaluates both integrals of a CDF for every region.
 The right strip passes the mirrored CDF 1 - F(a + b - y) and reuses the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .boundary import BoundaryKernelFamily, clip_alpha
 from .estimator import EstimatorConfig
-from .kernels import BaseKernel
+from .kernels import IDENTITY_SHAPE, BaseKernel
 from .quadrature import integrate
 
 
@@ -157,7 +157,7 @@ def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
     a, b, h, base, fam = cfg.a, cfg.b, cfg.h, cfg.base, cfg.family
     if fam is None or a + h <= x <= b - h:
         kinks = ((x - b) / h, (x - a) / h)
-        bias, nvar = _moments(dist.cdf, base, x, h, (1.0, -1.0, 1.0, 1.0, 1.0), kinks)
+        bias, nvar = _moments(dist.cdf, base, x, h, IDENTITY_SHAPE, kinks)
     elif x <= a or x >= b:
         return 0.0, 0.0
     elif x > b - h:  # tested first, as in Grid: at h = (b - a)/2, a + h may round above b - h

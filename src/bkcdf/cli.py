@@ -3,10 +3,10 @@
 Every subcommand emits CSV with a header row and full-precision floats,
 so downstream plotting can reproduce the figures without loss: each
 handler returns its rows as text, a float as the repr of a Python float.
-Exit codes: 0 success, 1 numerical failure, 2 rejected input.  A flag
-that argparse itself rejects prints the subcommand's usage and an error
-line; any other rejected input (a validation or I/O error) raises
-ValueError or OSError, which ``main`` reports as one ``error:`` line.
+Exit codes: 0 success, 1 numerical failure or out of memory, 2 rejected
+input, each failure with one ``error:`` line.  A flag that argparse itself
+rejects also prints the subcommand's usage; any other rejected input (a
+validation or I/O error) raises ValueError or OSError, which ``main`` reports.
 
 A command's time is its setup, mostly numpy's import (about 0.2 s),
 then the command itself, then the interpreter's exit.  Importing this
@@ -306,8 +306,8 @@ def main(argv=None) -> int:
         header, rows = args.func(args, BaseKernel(args.kernel), dist)
         _emit(header, rows, args.out)
         return 0
-    except (NoOptimalBandwidthError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NoOptimalBandwidthError, QuadratureError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,10 +98,9 @@ class BetaMixture:
         return f"BetaMixture(w={self.w!r}, shape_b={self.shape_b!r})"
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        xc = np.clip(x, 0.0, 1.0)  # a numpy scalar for a 0-d x: its xc**2 calls C pow
-        out = self.w * (2.0 * xc - xc * xc) + (1.0 - self.w) * self._cdf_b2(xc)
-        return _value(np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out)))
+        # the clip pins F: to 0 at x <= 0, and at x >= 1 to w + (1 - w), which rounds to 1
+        xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        return _value(self.w * (2.0 * xc - xc * xc) + (1.0 - self.w) * self._cdf_b2(xc))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

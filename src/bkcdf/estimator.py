@@ -2,8 +2,8 @@
 
 A ``Grid`` is built once for sorted points and one ``EstimatorConfig``
 per estimator wanted, all over one a, b, h and base kernel: classical, or
-a family that corrects the strips (a, a+h) and (b-h, b), pins 0 and 1
-outside [a, b] and is classical in between.  It does the work that
+the classical one with a family's kernels in the strips (a, a+h) and
+(b-h, b) and 0 and 1 pinned outside [a, b].  It does the work that
 depends on the points alone: the strip split, the classical blocks with
 their centres and Taylor rows, and each family's shape, window edges and
 Taylor rows per strip.  ``Grid.evaluate`` does the rest for each sample:
@@ -39,8 +39,8 @@ sum is the compensated running sum of the whole runs below it plus a plain
 running sum inside its own run: a few passes over the data, not about seven
 per power.  The sums are chosen by the data count and the runs are cut at
 fixed places, never by the points.  The regions are runs of the sorted
-points, so each family's estimate is put together from slices.  The
-centring keeps |y| and |t| below 2, so no term exceeds the window count by
+points, so a family's estimate is the classical one with slices replaced.
+The centring keeps |y| and |t| below 2, so no term exceeds the window count by
 more than a few hundred and the error stays near machine epsilon wherever
 the data lie; a block's sums depend only on the data, c and h, so a value
 has the same bits whichever points come with it.
@@ -239,24 +239,23 @@ class Grid:
         cfg = self.cfg = cfgs[0]
         if any((c.a, c.b, c.h, c.base) != (cfg.a, cfg.b, cfg.h, cfg.base) for c in cfgs):
             raise ValueError("the estimators must share a, b, h and the base kernel")
-        a, b, h, self.families = cfg.a, cfg.b, cfg.h, [c.family for c in cfgs]
+        a, b, h, families = cfg.a, cfg.b, cfg.h, [c.family for c in cfgs]
         # regions are runs of sorted xs: (a, a+h), [a+h, b-h], (b-h, b); a point in both goes right
         i, k = np.searchsorted(xs, [a, b - h], "right").tolist()
         j, l = np.searchsorted(xs, [a + h, b], "left").tolist()
         left, right = self.left, self.right = slice(i, min(j, k)), slice(k, l)
-        self.mid = slice(j, k)
-        self.blocks, self.pinned = _Blocks(cfg, xs), np.where(xs < b, 0.0, 1.0)
+        self.blocks = _Blocks(cfg, xs)
         # the right strip reflected and reversed, so that its alpha ascends as the left's does
         alphas = clip_alpha((xs[left] - a) / h), clip_alpha((b - xs[right][::-1]) / h)
         taylor = {}
         self.strips = [
-            None if f is None else [_Strip(f, x, taylor) for x in alphas] for f in self.families
+            None if f is None else [_Strip(f, x, taylor) for x in alphas] for f in families
         ]
 
     def evaluate(self, values) -> list[np.ndarray]:
         """The estimate at xs from the sample values (finite, inside [a, b])
         of each of the grid's estimators, in order, each in an array of its own."""
-        a, b, h, mid = self.cfg.a, self.cfg.b, self.cfg.h, self.mid
+        a, b, h = self.cfg.a, self.cfg.b, self.cfg.h
         data = np.asarray(values, dtype=float)
         if data.ndim != 1 or data.size == 0:
             raise ValueError("sample must be a non-empty one-dimensional collection")
@@ -266,7 +265,7 @@ class Grid:
         if data[0] < a or data[-1] > b:
             raise ValueError("sample values must lie within [a, b]")
         classical = self.blocks(data)
-        out = [(classical if f is None else self.pinned).copy() for f in self.families]
+        out = [classical.copy() for _ in self.strips]
         if any(self.strips):
             # y = (X - a)/h, then the reflected (b - X)/h; windows end below 2,
             # so a y that overflows (when (b - a)/h does) is dropped unused
@@ -274,8 +273,8 @@ class Grid:
                 ys = [y[: np.searchsorted(y, 2.0)] for y in ((data - a) / h, (b - data[::-1]) / h)]
             sums = [_prefix_power_sums(y, self.cfg.base.odd.size - 1) for y in ys]
         for strips, est in zip(self.strips, out):
-            if strips:  # pinned outside (a, b), classical between the strips
-                est[mid] = classical[mid]
+            if strips:  # the classical estimate, its strips replaced and pinned outside (a, b)
+                est[: self.left.start], est[self.right.stop :] = 0.0, 1.0
                 est[self.left] = strips[0](ys[0], sums[0], data.size)
                 est[self.right] = 1.0 - strips[1](ys[1], sums[1], data.size)[::-1]
         return out

@@ -13,6 +13,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "biweight", "triweight")
+IDENTITY_SHAPE = (1.0, -1.0, 1.0, 1.0, 1.0)  # K itself as a shape (scale, lo, hi, weight, norm)
 
 # Ascending coefficients of the density on [-1, 1].
 _DENSITY_COEFFS = {
@@ -97,7 +98,7 @@ class BaseKernel:
 
     def r_constant(self) -> float:
         """Integral of u * 2 * Kbar(u) * K(u): m1 of K itself, 1 - integral of Kbar^2."""
-        return self.m1((1.0, -1.0, 1.0, 1.0, 1.0))
+        return self.m1(IDENTITY_SHAPE)
 
     def delta(self) -> float:
         """Bandwidth constant r^(1/3) * (second moment)^(-2/3)."""

@@ -45,6 +45,17 @@ COMMANDS = [
     ["mise", *TARGETS, "--family", "k1", "--h", "0.2", "--h", "0.05"],
     ["bandwidth", "--uniform"],  # exit 1: no optimal bandwidth
     ["simulate", *DIST, "--reps", "3", "--seed", "-1"],  # exit 2
+    # the strips meet at h = (b - a)/2, and at this h fl(a + h) > fl(b - h)
+    ["estimate", *SAMPLE[:-2], "--h", "0.5", "--family", "k3"],
+    ["estimate", *SAMPLE[:2], "--a", "-0.7", "--b", "2.2", "--h", "1.4500000000000002",
+     "--family", "k1"],
+    # small h: many blocks, each with few data
+    ["estimate", *SAMPLE[:-2], "--h", "0.002", "--family", "k2"],
+    ["simulate", *DIST, "--n", "50", "--reps", "3", "--h", "0.01", "--seed", "1"],
+    # w = 0 and w = 1
+    ["bandwidth", "--w", "0", "--b", "2"],
+    ["mse-curve", "--w", "1", "--b", "2", "--points", "9"],
+    ["mise", "--w", "1", "--b", "2", "--family", "k2", "--h", "0.2"],
 ]
 
 

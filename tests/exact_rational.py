@@ -28,6 +28,10 @@ def antiderivative(p):
     return [Fraction(0)] + [Fraction(c) / (k + 1) for k, c in enumerate(p)]
 
 
+def derivative(p):
+    return [k * Fraction(c) for k, c in enumerate(p)][1:] or [Fraction(0)]
+
+
 def value(p, x):
     out = Fraction(0)
     for c in reversed(p):
@@ -136,18 +140,37 @@ def region_kernel(variant, name, alpha, right=False):
     return 1 - value(kbar, hi), k_r, kbar_r, -hi, -lo
 
 
+def kernel_at(variant, name, h, x):
+    """``region_kernel`` of the estimator on [0, 1] with family variant (None: classical)
+    over the named base kernel and bandwidth h at a point x inside (0, 1) (any x when
+    classical); a point in both strips takes the right one."""
+    x, h = Fraction(x), Fraction(h)
+    if variant is None or h <= x <= 1 - h:
+        return region_kernel(None, name, None)
+    if x > 1 - h:
+        return region_kernel(variant, name, (1 - x) / h, right=True)
+    return region_kernel(variant, name, x / h)
+
+
+def estimate(data, variant, name, h, x):
+    """The exact estimate at x from the data: the mean of the region's cumulative kernel
+    at (x - X)/h, which is c0 below the kernel's support and its value at hi above.  A
+    family pins 0 at x <= 0 and 1 at x >= 1."""
+    x, h = Fraction(x), Fraction(h)
+    if variant is not None and not 0 < x < 1:
+        return Fraction(int(x >= 1))
+    c0, _, kbar, lo, hi = kernel_at(variant, name, h, x)
+    us = [(x - Fraction(d)) / h for d in data]
+    return sum(c0 if u < lo else value(kbar, min(u, hi)) for u in us) / len(us)
+
+
 def pointwise(cdf, variant, name, h, x):
     """Exact bias and n*Var at x of the estimator on [0, 1] with family variant (None:
     classical) over the named base kernel and bandwidth h, for data with the CDF cdf:
     E Kbar(U) = c0 + int F(x - u*h) k(u) du and E Kbar(U)^2 = c0^2 + int F(x - u*h)
     2*Kbar(u)*k(u) du, U = (x - X)/h."""
     x, h = Fraction(x), Fraction(h)
-    if variant is None or h <= x <= 1 - h:
-        c0, k, kbar, lo, hi = region_kernel(None, name, None)
-    elif x > 1 - h:
-        c0, k, kbar, lo, hi = region_kernel(variant, name, (1 - x) / h, right=True)
-    else:
-        c0, k, kbar, lo, hi = region_kernel(variant, name, x / h)
+    c0, k, kbar, lo, hi = kernel_at(variant, name, h, x)
     e1 = c0 + cdf_integral(cdf, x, h, k, lo, hi)
     e2 = c0**2 + cdf_integral(cdf, x, h, polymul([2], polymul(kbar, k)), lo, hi)
     return e1 - value(cdf, x), e2 - e1**2

@@ -3,7 +3,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from exact_rational import beta_mixture_cdf, pointwise, uniform_cdf
+from exact_rational import (
+    beta_mixture_cdf,
+    derivative,
+    integral,
+    pointwise,
+    polyadd,
+    polymul,
+    region_kernel,
+    uniform_cdf,
+)
 
 from bkcdf.analysis import (
     MiseTerms,
@@ -465,3 +474,48 @@ def test_pointwise_error_matches_exact_rationals(name, variant):
             bias, nvar = pointwise(cdf, variant, name, 0.25, x)
             assert abs(Fraction(got.bias) - bias) <= BIAS_ABS, (dist, x)
             assert abs(Fraction(got.variance) - nvar) <= NVAR_REL[variant] * nvar, (dist, x)
+
+
+# relative bounds; measured worst 1.4e-16 (v0), 4.4e-16 (v1) and 1.2e-15 (b4, triweight)
+MISE_REL = {"v0": 2e-16, "v1": 5e-16, "b4": 1.3e-15}
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_mise_terms_match_exact_rationals(name):
+    # v0 = int F(1 - F)/n, v1 = r = int u*2*Kbar*K and b4 = mu2(K)^2/4 * int F''^2
+    _, k, kbar, lo, hi = region_kernel(None, name, None)
+    r = integral(polymul([0, 2], polymul(kbar, k)), lo, hi)
+    mu2 = integral(polymul([0, 0, 1], k), lo, hi)
+    for dist, cdf in EXACT_CDFS[1:]:
+        d2 = derivative(derivative(cdf))
+        exact = {
+            "v0": integral(polymul(cdf, polyadd([1], [-c for c in cdf])), 0, 1) / 50,
+            "v1": r,
+            "b4": mu2**2 * integral(polymul(d2, d2), 0, 1) / 4,
+        }
+        terms = mise_terms(dist, BaseKernel(name), 50)
+        for key, value in exact.items():
+            assert abs(Fraction(getattr(terms, key)) - value) <= MISE_REL[key] * value, (dist, key)
+
+
+# cut points 2^-k near a at h = 1/4.  Bias within 8e-17 absolute (measured 7.1e-17);
+# n*Var within 5e-16 relative (measured 4.1e-16, Uniform) plus, for a mixture, 5e-17
+# absolute: its cdf forms the B(2, b) term as 1 - (1 - x)^b*(1 + b*x), which cancels
+# near 0 to about 1e-16.  k1's and k2's kernels at x = alpha*h see F on [0, 2x] only,
+# so their n*Var, 1e-25 for BetaMixture(0, 2) at alpha = 2^-40, misses by up to
+# 4.8e-17 there; k3's kernel sees F up to x + h and keeps its relative accuracy
+CURVE_ALPHAS = [2.0**-k for k in (1, 4, 10, 20, 40)]
+CURVE_BIAS_ABS, CURVE_NVAR_REL, CURVE_NVAR_ABS = 8e-17, 5e-16, (0.0, 5e-17, 5e-17)
+
+
+@pytest.mark.parametrize("variant", FAMILY_NAMES)
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_mse_curve_near_a_matches_exact_rationals(name, variant):
+    base = BaseKernel(name)
+    cfg = EstimatorConfig(0.0, 1.0, 0.25, base, BoundaryKernelFamily(variant, base))
+    for (dist, cdf), nvar_abs in zip(EXACT_CDFS, CURVE_NVAR_ABS):
+        for got, alpha in zip(exact_mse_curve(dist, cfg, 1, CURVE_ALPHAS), CURVE_ALPHAS):
+            bias, nvar = pointwise(cdf, variant, name, 0.25, alpha / 4)
+            assert abs(Fraction(got.bias) - bias) <= CURVE_BIAS_ABS, (dist, alpha)
+            bound = CURVE_NVAR_REL * nvar + nvar_abs
+            assert abs(Fraction(got.variance) - nvar) <= bound, (dist, alpha)

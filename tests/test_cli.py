@@ -57,6 +57,23 @@ def test_quadrature_error_exits_1_with_one_error_line(monkeypatch, capsys):
     assert captured.err == "error: quadrature did not converge within the subdivision budget\n"
 
 
+@pytest.mark.parametrize(
+    "exc, err",
+    [
+        (MemoryError("Unable to allocate 16.0 GiB"), "error: Unable to allocate 16.0 GiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_running_out_of_memory_exits_1_with_one_error_line(monkeypatch, capsys, exc, err):
+    # numpy raises MemoryError for a sample too large to allocate (simulate --n 2147483648)
+    def run_ise(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_ise", run_ise)
+    assert main(["simulate", "--w", "0.75", "--b", "5", "--reps", "1"]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
 def test_distribution_flags_mutually_exclusive():
     assert main(["bandwidth", "--w", "0.5", "--b", "3", "--uniform"]) == 2
     assert main(["bandwidth"]) == 2

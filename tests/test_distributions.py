@@ -98,6 +98,20 @@ def test_cdf_monotone():
     assert np.all(np.diff(vals) >= 0.0)
 
 
+@pytest.mark.parametrize("b", [2.0, 2.5, 5.0, 37.3, 1000.0])
+def test_the_clip_pins_the_cdf_to_exactly_0_and_1(b):
+    # F is computed at the clipped x: +0.0 at and below 0, and at and above 1 the sum
+    # w + (1 - w), which rounds to 1 for every w in [0, 1]: 1 - w is exact for w >= 1/2
+    # (Sterbenz) and within 2^-54 below, and 1 +- 2^-54 rounds to 1 (ties to even)
+    ws = np.random.default_rng(1).uniform(0.0, 1.0, 2000).tolist() + [0.0, 1.0, 0.5, 0.25, 1 / 3]
+    xs = [-math.inf, -1.0, -0.0, 0.0, 1.0, math.nextafter(1.0, 2.0), 2.0, math.inf]
+    want = ["0.0"] * 4 + ["1.0"] * 4
+    for w in ws:
+        dist = BetaMixture(w, b)
+        assert [repr(v) for v in dist.cdf(np.array(xs)).tolist()] == want, w
+        assert [repr(dist.cdf(x)) for x in xs] == want, w
+
+
 @pytest.mark.parametrize(
     "dist",
     [
