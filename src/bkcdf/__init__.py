@@ -17,7 +17,6 @@ from .boundary import (
     FAMILY_NAMES,
     BoundaryKernelFamily,
     ConditionCheck,
-    clip_alpha,
 )
 from .distributions import (
     BetaMixture,

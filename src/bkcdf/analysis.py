@@ -11,7 +11,8 @@ with the CDF clamped to [0, 1] (which keeps the identities exact all the
 way to the support endpoints).  Every region's kernel is the base kernel
 K under a shape (scale s, lo, hi, weight w, norm), as in ``boundary``: the
 identity ``IDENTITY_SHAPE`` in the interior and the family's shape(alpha)
-at x = a + alpha*h.  In t = u/s it is w/norm*K(t) on [lo/s, hi/s], so one
+at x = a + alpha*h, the strips decided by ``boundary.regions`` as in
+``Grid``.  In t = u/s it is w/norm*K(t) on [lo/s, hi/s], so one
 routine, ``_moments``, evaluates both integrals of a CDF for every region.
 The right strip passes the mirrored CDF 1 - F(a + b - y) and reuses the
 left-strip kernel: integrating the right kernel directly leaves E Kbar^2
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryKernelFamily, clip_alpha
+from .boundary import BoundaryKernelFamily, regions
 from .estimator import EstimatorConfig
 from .kernels import IDENTITY_SHAPE, BaseKernel
 from .quadrature import integrate
@@ -155,22 +156,23 @@ def mise_terms(dist, base: BaseKernel, n: int) -> MiseTerms:
 def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
     """(bias, variance) of the configured estimator at x."""
     a, b, h, base, fam = cfg.a, cfg.b, cfg.h, cfg.base, cfg.family
-    if fam is None or a + h <= x <= b - h:
-        kinks = ((x - b) / h, (x - a) / h)
-        bias, nvar = _moments(dist.cdf, base, x, h, IDENTITY_SHAPE, kinks)
-    elif x <= a or x >= b:
-        return 0.0, 0.0
-    elif x > b - h:  # tested first, as in Grid: at h = (b - a)/2, a + h may round above b - h
+    _, _, (up, down) = regions([x], a, b, h)
+    if fam is not None and down.size:  # tested first: a point in both strips is the right's
         # right strip: 1 minus the left-strip estimate at the mirrored point of the mirrored CDF
         def mirrored(y):
             return 1.0 - dist.cdf((a + b) - np.asarray(y, dtype=float))
 
-        alpha = clip_alpha((b - x) / h)
+        alpha = float(down[0])
         bias, nvar = _moments(mirrored, base, a + alpha * h, h, fam.shape(alpha))
         bias = -bias
-    else:
-        alpha = clip_alpha((x - a) / h)
+    elif fam is not None and up.size:
+        alpha = float(up[0])
         bias, nvar = _moments(dist.cdf, base, x, h, fam.shape(alpha))
+    elif fam is None or a < x < b:
+        kinks = ((x - b) / h, (x - a) / h)
+        bias, nvar = _moments(dist.cdf, base, x, h, IDENTITY_SHAPE, kinks)
+    else:
+        return 0.0, 0.0
     return bias, nvar / n
 
 

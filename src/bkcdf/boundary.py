@@ -37,15 +37,23 @@ import numpy as np
 from .kernels import BaseKernel
 
 FAMILY_NAMES = ("k1", "k2", "k3")
+_TINY = np.finfo(float).tiny
 
 
-def clip_alpha(alpha):
-    """The cut point alpha = (x - a)/h or (b - x)/h of a strip point, which
-    can round to 0 or 1, moved to the smallest normal double (below it
-    G(alpha) can round to 0) or the double below 1, where the estimate is
-    within rounding of its limit."""
-    out = np.clip(alpha, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-    return out if np.ndim(out) else float(out)
+def regions(xs, a, b, h):
+    """(left, right, (alpha_left, alpha_right)) for sorted points xs: the slices
+    of the left strip, the x > a whose cut point (x - a)/h rounds below 1, and
+    of the right strip, the x < b whose (b - x)/h does, with those cut points,
+    the right strip's reversed so that they ascend.  Each cut point is monotone
+    in x, so each strip is a run of xs; a point in both is the right strip's,
+    which Grid writes last and the analysis tests first.  A cut point below the
+    smallest normal double is raised to it, as below it G(alpha) can round to 0."""
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore"):
+        up, down = (xs - a) / h, (xs - b) / h  # down = -(b - x)/h exactly
+    left = slice(int(xs.searchsorted(a, "right")), int(up.searchsorted(1.0)))
+    right = slice(int(down.searchsorted(-1.0, "right")), int(xs.searchsorted(b)))
+    return left, right, (np.maximum(up[left], _TINY), np.maximum(-down[right][::-1], _TINY))
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,14 @@
 
 A ``Grid`` is built once for sorted points and one ``EstimatorConfig``
 per estimator wanted, all over one a, b, h and base kernel: classical, or
-the classical one with a family's kernels in the strips (a, a+h) and
-(b-h, b) and 0 and 1 pinned outside [a, b].  It does the work that
-depends on the points alone: the strip split, the classical blocks with
-their centres and Taylor rows, and each family's shape, window edges and
-Taylor rows per strip.  ``Grid.evaluate`` does the rest for each sample:
-sort, window counts, prefix power sums with one row per power, gathers
-from those rows and a Horner sum over the cached Taylor rows.
-``evaluate_grid`` gives one estimator.
+the classical one with a family's kernels in the strips, which
+``boundary.regions`` decides by the cut point, and 0 and 1 pinned outside
+(a, b).  It does the work that depends on the points alone: the strip split,
+the classical blocks with their centres and Taylor rows, and each family's
+shape, window edges and Taylor rows per strip.  ``Grid.evaluate`` does the
+rest for each sample: sort, window counts, prefix power sums with one row
+per power, gathers from those rows and a Horner sum over the cached Taylor
+rows.  ``evaluate_grid`` gives one estimator.
 
 Each cumulative kernel is constant outside a window and a polynomial in
 it, so on the sorted sample the estimate is a count below the window plus
@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .boundary import BoundaryKernelFamily, clip_alpha
+from .boundary import BoundaryKernelFamily, regions
 from .kernels import BaseKernel
 
 _RUN = 256  # data per run, where a block or strip sums its powers in runs
@@ -240,13 +240,8 @@ class Grid:
         if any((c.a, c.b, c.h, c.base) != (cfg.a, cfg.b, cfg.h, cfg.base) for c in cfgs):
             raise ValueError("the estimators must share a, b, h and the base kernel")
         a, b, h, families = cfg.a, cfg.b, cfg.h, [c.family for c in cfgs]
-        # regions are runs of sorted xs: (a, a+h), [a+h, b-h], (b-h, b); a point in both goes right
-        i, k = np.searchsorted(xs, [a, b - h], "right").tolist()
-        j, l = np.searchsorted(xs, [a + h, b], "left").tolist()
-        left, right = self.left, self.right = slice(i, min(j, k)), slice(k, l)
+        self.left, self.right, alphas = regions(xs, a, b, h)
         self.blocks = _Blocks(cfg, xs)
-        # the right strip reflected and reversed, so that its alpha ascends as the left's does
-        alphas = clip_alpha((xs[left] - a) / h), clip_alpha((b - xs[right][::-1]) / h)
         taylor = {}
         self.strips = [
             None if f is None else [_Strip(f, x, taylor) for x in alphas] for f in families

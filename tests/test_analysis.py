@@ -28,7 +28,7 @@ from bkcdf.analysis import (
     mise_terms,
     pointwise_error,
 )
-from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily, clip_alpha
+from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
 from bkcdf.distributions import BetaMixture, Uniform, replicate_rng, solve_params
 from bkcdf.estimator import EstimatorConfig, Grid, evaluate_grid
 from bkcdf.kernels import KERNEL_NAMES, BaseKernel
@@ -367,20 +367,22 @@ def test_moments_of_the_empirical_cdf_are_the_estimate_and_its_bootstrap_varianc
             cfg = EstimatorConfig(a, b, h, base, fam)
             est = evaluate_grid(data, cfg, xs)
             for x, fhat in zip(xs.tolist(), est.tolist()):
-                if fam is None or a + h <= x <= b - h:
-                    point, cdf, sample = x, f_n, data
-                    shape = (1.0, -1.0, 1.0, 1.0, 1.0)
-                    kbar = base.antiderivative((x - data) / h)
-                elif x > b - h:  # the left-strip estimate of the mirrored sample is 1 - Fhat
-                    alpha = clip_alpha((b - x) / h)
+                # each x lies inside (a, b), at a normal cut point from either end
+                if fam is not None and (b - x) / h < 1.0:
+                    # the left-strip estimate of the mirrored sample is 1 - Fhat
+                    alpha = (b - x) / h
                     point, cdf, sample, fhat = a + alpha * h, f_n_mirrored, mirrored, 1.0 - fhat
                     shape = fam.shape(alpha)
                     kbar = fam.left_antiderivative((point - mirrored) / h, alpha)
-                else:
-                    alpha = clip_alpha((x - a) / h)
+                elif fam is not None and (x - a) / h < 1.0:
+                    alpha = (x - a) / h
                     point, cdf, sample = x, f_n, data
                     shape = fam.shape(alpha)
                     kbar = fam.left_antiderivative((x - data) / h, alpha)
+                else:
+                    point, cdf, sample = x, f_n, data
+                    shape = (1.0, -1.0, 1.0, 1.0, 1.0)
+                    kbar = base.antiderivative((x - data) / h)
                 kinks = (point - sample) / h
                 bias, nvar = _moments(cdf, base, point, h, shape, kinks)
                 bootstrap = np.mean(kbar**2) - np.mean(kbar) ** 2
@@ -390,25 +392,19 @@ def test_moments_of_the_empirical_cdf_are_the_estimate_and_its_bootstrap_varianc
 
 
 @pytest.mark.parametrize("variant", FAMILY_NAMES)
-def test_a_point_in_both_strips_is_the_right_strips(variant):
+def test_a_point_between_the_rounded_strip_edges_is_interior(variant):
     # at h = (b - a)/2 = 1.4500000000000002, fl(a + h) = 0.7500000000000002 lies
-    # above fl(b - h) = 0.75; the analysis, like Grid, gives a point between them
-    # to the right strip
+    # above fl(b - h) = 0.75, but a point between them has both cut points
+    # rounding to 1: the analysis, like Grid, gives it the interior's values
     a, b, x = -0.7, 2.2, 0.7500000000000001
     h = 0.5 * (b - a)
-    assert b - h < x < a + h
+    assert b - h < x < a + h and (x - a) / h == (b - x) / h == 1.0
     dist = Uniform(a, b)
     cfg = EstimatorConfig(a, b, h, EPAN, BoundaryKernelFamily(variant, EPAN))
     got = pointwise_error(dist, cfg, 1, x)
-    alpha = clip_alpha((b - x) / h)
-
-    def mirrored(y):
-        return 1.0 - dist.cdf((a + b) - np.asarray(y, dtype=float))
-
-    bias, nvar = _moments(mirrored, EPAN, a + alpha * h, h, cfg.family.shape(alpha))
-    assert (got.bias, got.variance) == (-bias, nvar)
+    assert got == pointwise_error(dist, EstimatorConfig(a, b, h, EPAN), 1, x)
     grid = Grid([x], [cfg])
-    assert grid.xs[grid.left].size == 0 and grid.xs[grid.right].tolist() == [x]
+    assert grid.xs[grid.left].size == 0 and grid.xs[grid.right].size == 0
 
 
 @pytest.mark.parametrize("variant", FAMILY_NAMES)

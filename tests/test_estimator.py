@@ -259,8 +259,9 @@ def dense_estimate(data, cfg, xs, mean=lambda terms: terms.mean(axis=1)):
     out = mean(cfg.base.antiderivative(u))
     if fam is None:
         return out
-    left = (xs > a) & (xs < a + h)
-    right = (xs > b - h) & (xs < b)
+    # the strips by cut point, as in boundary.regions; the right one is written last
+    left = (xs > a) & ((xs - a) / h < 1.0)
+    right = (xs < b) & ((b - xs) / h < 1.0)
     alpha = ((xs[left] - a) / h)[:, None]
     out[left] = mean(fam.left_antiderivative(u[left], alpha))
     alpha = ((b - xs[right]) / h)[:, None]
@@ -512,7 +513,7 @@ def test_strip_points_whose_cut_point_underflows(base, variant):
 def test_strip_points_whose_cut_point_rounds_to_one(base, variant):
     # with a = -0.3 and h = 0.1*3 the double below a + h has (x - a)/h = 1.0
     # after rounding, and so has the double above b - h on the mirrored
-    # support; every family is classical in the limit alpha -> 1
+    # support; a cut point of 1 is no strip's, so the estimate is the classical one
     fam = BoundaryKernelFamily(variant, base)
     h = 0.1 * 3
     for a, b, x, data in [
@@ -522,7 +523,7 @@ def test_strip_points_whose_cut_point_rounds_to_one(base, variant):
         assert (a < x < a + h and (x - a) / h == 1.0) or (b - h < x < b and (b - x) / h == 1.0)
         got = evaluate_grid(data, EstimatorConfig(a, b, h, base, fam), [x])[0]
         classical = evaluate_grid(data, EstimatorConfig(a, b, h, base), [x])[0]
-        assert abs(got - classical) <= 1e-14
+        assert got == classical
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=str)
@@ -639,14 +640,14 @@ def test_count_matches_searchsorted(n, m, side, data):
 
 
 def region_of(x, a, b, h):
-    """The region of x: the open strips (a, a+h) and (b-h, b), the closed
-    middle [a+h, b-h] in between, else outside; a point in both strips takes
-    the right strip's value."""
-    if b - h < x < b:
+    """The region of x by its cut points: the right strip where x < b and
+    (b - x)/h rounds below 1, else the left strip where a < x and (x - a)/h
+    does, else the middle inside (a, b), else outside."""
+    if x < b and (b - x) / h < 1.0:
         return "right"
-    if a < x < a + h:
+    if a < x and (x - a) / h < 1.0:
         return "left"
-    return "mid" if a + h <= x <= b - h else "outside"
+    return "mid" if a < x < b else "outside"
 
 
 @pytest.mark.parametrize("variant", FAMILY_NAMES)
@@ -655,7 +656,8 @@ def region_of(x, a, b, h):
 )
 def test_region_split_at_the_region_edges(variant, a, b, half):
     # at h = (b - a)/2 fl(a + h) can lie above fl(b - h), as 0.7500000000000002
-    # does above 0.75 for a = -0.7, b = 2.2, and a point between them is in both strips
+    # does above 0.75 for a = -0.7, b = 2.2; a point between them has both cut
+    # points rounding to 1, so it is in the middle
     h = 0.5 * (b - a) if half else 0.2
     fam = BoundaryKernelFamily(variant, EPAN)
     cfg = EstimatorConfig(a, b, h, EPAN, fam)
@@ -664,7 +666,8 @@ def test_region_split_at_the_region_edges(variant, a, b, half):
     xs = {np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)} | set(edges)
     xs = np.array(sorted(xs | {a - 1.0, a - 0.5 * h, 0.5 * (a + b), b + 0.5 * h, b + 1.0}))
     if a == -0.7:
-        assert any(a < x < a + h and b - h < x < b for x in xs)
+        between = [x for x in xs if a < x < a + h and b - h < x < b]
+        assert between and {region_of(x, a, b, h) for x in between} == {"mid"}
     # each strip alone, with the other strip moved 2h away; the classical middle
     alone = {
         "left": EstimatorConfig(a, b + 2.0 * h, h, EPAN, fam),

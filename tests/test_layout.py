@@ -103,3 +103,31 @@ def test_analysis_imports_nothing_from_distributions():
             continue
         found += [f"analysis.py:{node.lineno}" for m in modules if "distributions" in m.split(".")]
     assert found == []
+
+
+def test_only_boundary_decides_the_strips():
+    # boundary.regions decides strip membership by the cut point for Grid and
+    # the analysis alike; comparing a point with a + h or b - h in either
+    # module would state a second rule, which rounding can make disagree
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    def strip_edge(node):
+        if not isinstance(node, ast.BinOp) or name(node.right) != "h":
+            return False
+        return (isinstance(node.op, ast.Add) and name(node.left) == "a") or (
+            isinstance(node.op, ast.Sub) and name(node.left) == "b"
+        )
+
+    found = []
+    for path in SOURCES:
+        if path.name not in ("estimator.py", "analysis.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) or name(getattr(node, "func", None)) == "searchsorted":
+                found += [
+                    f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                    for edge in ast.walk(node)
+                    if strip_edge(edge)
+                ]
+    assert SOURCES and found == []
