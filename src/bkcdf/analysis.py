@@ -136,7 +136,7 @@ def mise_terms(dist, base: BaseKernel, n: int) -> MiseTerms:
     """Leading MISE terms and the asymptotically optimal bandwidth."""
     _check(n)
     a, b = dist.support
-    i0 = integrate(lambda x: dist.cdf(x) * (1.0 - dist.cdf(x)), a, b)
+    i0 = integrate(lambda x: (f := dist.cdf(x)) * (1.0 - f), a, b)
     rough = dist.roughness()
     if rough <= 0.0:
         raise NoOptimalBandwidthError(
@@ -193,9 +193,9 @@ def _integrated(dist, cfg: EstimatorConfig, n: int, region, squared_bias):
     if not (cfg.a <= lo <= hi <= cfg.b):
         raise ValueError("region must be contained in [a, b]")
 
-    def integrand(x):
-        bias, var = _pointwise(dist, cfg, n, float(x))
-        return var + bias**2 if squared_bias else var
+    def integrand(xs):
+        errors = (_pointwise(dist, cfg, n, x) for x in xs.tolist())
+        return [var + bias**2 if squared_bias else var for bias, var in errors]
 
     panels = (cfg.a + cfg.h, cfg.b - cfg.h)
     return integrate(integrand, lo, hi, points=panels, rel_tol=1e-9, abs_tol=1e-13)

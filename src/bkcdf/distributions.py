@@ -25,13 +25,12 @@ def _value(out):
 
 
 def _pow1m(x: np.ndarray, p: float) -> np.ndarray:
-    """(1 - x)^p, stable near x = 1; zero at x >= 1 for positive p."""
+    """(1 - x)^p for x in [0, 1], stable near x = 1; zero at x = 1 for positive p
+    (log1p(-1) = -inf), one everywhere for p = 0 (where 0 * -inf would be NaN)."""
     if p == 0.0:
         return np.ones_like(x)
-    out = np.zeros_like(x)
-    m = x < 1.0
-    out[m] = np.exp(p * np.log1p(-x[m]))
-    return out
+    with np.errstate(divide="ignore"):
+        return np.exp(p * np.log1p(-x))
 
 
 class Uniform:

@@ -1,16 +1,23 @@
 """Byte-identity check of the CLI between two source trees.
 
-    python tests/cli_commands.py OLD_SRC NEW_SRC
+    python tests/cli_commands.py OLD NEW_SRC
 
 runs every command in ``COMMANDS`` in a fresh ``python -m bkcdf.cli`` process
 against each tree (via ``PYTHONPATH``), from the repository root, prints the
 commands whose stdout, stderr or exit code differ, and exits 1 if any do.
-A refactor that claims to keep every output byte runs it against its parent.
+OLD is a source directory or, when it is not a directory, a git revision
+whose ``src`` is extracted with ``git archive`` into a temporary directory
+(``python tests/cli_commands.py HEAD src`` checks the working tree against
+the last commit).  A refactor that claims to keep every output byte runs it
+against its parent.
 """
 
+import io
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,10 +74,23 @@ def run(src, cmd):
     return proc.stdout, proc.stderr, proc.returncode
 
 
+def source(old, tmp):
+    """OLD itself if it is a directory, else the ``src`` of git revision OLD under tmp."""
+    if Path(old).is_dir():
+        return old
+    proc = subprocess.run(["git", "archive", old, "src"], capture_output=True, cwd=ROOT)
+    if proc.returncode:
+        sys.exit(proc.stderr.decode())
+    tarfile.open(fileobj=io.BytesIO(proc.stdout)).extractall(tmp, filter="data")
+    return Path(tmp) / "src"
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
-    differ = [cmd for cmd in COMMANDS if run(argv[0], cmd) != run(argv[1], cmd)]
+    with tempfile.TemporaryDirectory() as tmp:
+        old = source(argv[0], tmp)
+        differ = [cmd for cmd in COMMANDS if run(old, cmd) != run(argv[1], cmd)]
     for cmd in differ:
         print("differs:", " ".join(cmd))
     print(f"{len(COMMANDS) - len(differ)} of {len(COMMANDS)} commands identical")

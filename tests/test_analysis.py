@@ -14,6 +14,7 @@ from exact_rational import (
     uniform_cdf,
 )
 
+from bkcdf import quadrature
 from bkcdf.analysis import (
     MiseTerms,
     NoOptimalBandwidthError,
@@ -195,6 +196,18 @@ def test_exact_mise_uniform_is_pure_variance():
     iv = exact_integrated_variance(dist, cfg, 50, (0.0, 1.0))
     assert mise == pytest.approx(iv, rel=1e-7)
     assert mise > 0.0
+
+
+@pytest.mark.parametrize("variant", ["k1", "k3"])
+@pytest.mark.parametrize("dist", [BetaMixture(0.75, 5.0), Uniform()], ids=repr)
+def test_integrated_error_needs_no_scalar_retry(monkeypatch, variant, dist):
+    # the integrand takes each panel's node array whole: an evaluator that
+    # never retries one node at a time gives the same bits
+    cfg = make_cfg(variant, h=0.2)
+    funcs = (exact_mise, exact_integrated_variance)
+    want = [f(dist, cfg, 50, (0.0, 1.0)) for f in funcs]
+    monkeypatch.setattr(quadrature, "_evaluate", lambda f, x: np.asarray(f(x), dtype=float))
+    assert [f(dist, cfg, 50, (0.0, 1.0)) for f in funcs] == want
 
 
 def test_region_validation():

@@ -112,6 +112,21 @@ def test_the_clip_pins_the_cdf_to_exactly_0_and_1(b):
         assert [repr(dist.cdf(x)) for x in xs] == want, w
 
 
+@pytest.mark.parametrize("b", [2.0, 2.5, 5.0, 1000.0])
+@pytest.mark.parametrize("w", [0.0, 0.25, 0.75, 1.0])
+def test_pdf_and_d2_at_and_next_to_1_match_their_closed_forms(w, b):
+    # pdf = 2w(1-x) + c x(1-x)^(b-1) and d2 = -2w + c(1-x)^(b-2)((1-x) - (b-1)x),
+    # c = (1-w)b(b+1): at x = 1 the (1-x) powers vanish but for d2's at b = 2
+    dist, c = BetaMixture(w, b), (1.0 - w) * b * (b + 1.0)
+    assert dist.pdf(1.0) == 0.0
+    assert dist.d2(1.0) == (-2.0 * w - 6.0 * (1.0 - w) if b == 2.0 else -2.0 * w)
+    e = 2.0**-53  # 1 - x, exactly, at x = 1 - 2^-53
+    pdf = 2.0 * w * e + c * (1.0 - e) * e ** (b - 1.0)
+    d2 = -2.0 * w + c * e ** (b - 2.0) * (e - (b - 1.0) * (1.0 - e))
+    assert dist.pdf(1.0 - e) == pytest.approx(pdf, rel=1e-13, abs=0.0)
+    assert dist.d2(1.0 - e) == pytest.approx(d2, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "dist",
     [
