@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BaseKernel
+from .kernels import BaseKernel, float_or_array
 
 FAMILY_NAMES = ("k1", "k2", "k3")
 _TINY = np.finfo(float).tiny
@@ -98,27 +98,24 @@ class BoundaryKernelFamily:
     def left_density(self, u, alpha):
         s, lo, hi, w, norm = self.shape(alpha)
         t = np.asarray(u, dtype=float) / s
-        out = w * self.base.density(t) * ((t >= lo / s) & (t <= hi / s)) / (s * norm)
-        return out if np.ndim(out) else float(out)
+        inside = (t >= lo / s) & (t <= hi / s)
+        return float_or_array(w * self.base.density(t) * inside / (s * norm))
 
     def left_antiderivative(self, u, alpha):
         """Cumulative left kernel; constant at mu0(alpha) above the support."""
         s, lo, hi, w, norm = self.shape(alpha)
         t = np.clip(np.asarray(u, dtype=float) / s, lo / s, hi / s)
-        out = w * (self.base.odd_part(t) + self.base.odd_part(-lo / s)) / norm
-        return out if np.ndim(out) else float(out)
+        return float_or_array(w * (self.base.odd_part(t) + self.base.odd_part(-lo / s)) / norm)
 
     def moment(self, order: int, alpha):
         """Closed-form moment of u^order against the left kernel, order 0, 1 or 2."""
         s, lo, hi, w, norm = self.shape(alpha)
-        out = w * s**order * self.base.moment_between(order, lo / s, hi / s) / norm
-        return out if np.ndim(out) else float(out)
+        return float_or_array(w * s**order * self.base.moment_between(order, lo / s, hi / s) / norm)
 
     def mu_bias_coeff(self, alpha):
         """Leading bias coefficient mu2(alpha) - alpha*mu1(alpha)."""
         alpha = np.asarray(alpha, dtype=float)
-        out = self.moment(2, alpha) - alpha * self.moment(1, alpha)
-        return out if np.ndim(out) else float(out)
+        return float_or_array(self.moment(2, alpha) - alpha * self.moment(1, alpha))
 
     def m1(self, alpha: float) -> float:
         """First moment of 2*Kbar*K: the base kernel's m1 under the shape at alpha."""

@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import float_or_array
+
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one replicate, derived from (seed, index)."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
-
-
-def _value(out):
-    """A 0-d result as a Python float (a float in gives a float out), an array as it is."""
-    return float(out) if out.ndim == 0 else out
 
 
 def _pow1m(x: np.ndarray, p: float) -> np.ndarray:
@@ -48,15 +45,15 @@ class Uniform:
 
     def cdf(self, x):
         a, b = self.support
-        return _value(np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0))
+        return float_or_array(np.clip((np.asarray(x, dtype=float) - a) / (b - a), 0.0, 1.0))
 
     def pdf(self, x):
         a, b = self.support
         x = np.asarray(x, dtype=float)
-        return _value(np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0))
+        return float_or_array(np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0))
 
     def d2(self, x):
-        return _value(np.zeros_like(np.asarray(x, dtype=float)))
+        return float_or_array(np.zeros_like(np.asarray(x, dtype=float)))
 
     def roughness(self) -> float:
         return 0.0
@@ -99,7 +96,7 @@ class BetaMixture:
     def cdf(self, x):
         # the clip pins F: to 0 at x <= 0, and at x >= 1 to w + (1 - w), which rounds to 1
         xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return _value(self.w * (2.0 * xc - xc * xc) + (1.0 - self.w) * self._cdf_b2(xc))
+        return float_or_array(self.w * (2.0 * xc - xc * xc) + (1.0 - self.w) * self._cdf_b2(xc))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -108,7 +105,7 @@ class BetaMixture:
         out = self.w * 2.0 * (1.0 - xc) + (1.0 - self.w) * b * (b + 1.0) * xc * _pow1m(
             xc, b - 1.0
         )
-        return _value(np.where((x >= 0.0) & (x <= 1.0), out, 0.0))
+        return float_or_array(np.where((x >= 0.0) & (x <= 1.0), out, 0.0))
 
     def d2(self, x):
         x = np.asarray(x, dtype=float)
@@ -117,7 +114,7 @@ class BetaMixture:
         out = -2.0 * self.w + (1.0 - self.w) * b * (b + 1.0) * _pow1m(xc, b - 2.0) * (
             (1.0 - xc) - (b - 1.0) * xc
         )
-        return _value(np.where((x >= 0.0) & (x <= 1.0), out, 0.0))
+        return float_or_array(np.where((x >= 0.0) & (x <= 1.0), out, 0.0))
 
     def roughness(self) -> float:
         # d2 = -2w + c*g, c = (1-w)*b*(b+1), where g = (1-x)^(b-2)*(1-b*x), the

@@ -236,6 +236,8 @@ class Grid:
             raise ValueError("grid points must be finite")
         if np.any(np.diff(xs) < 0.0):
             raise ValueError("grid must be sorted")
+        if not cfgs:
+            raise ValueError("need at least one estimator")
         cfg = self.cfg = cfgs[0]
         if any((c.a, c.b, c.h, c.base) != (cfg.a, cfg.b, cfg.h, cfg.base) for c in cfgs):
             raise ValueError("the estimators must share a, b, h and the base kernel")

@@ -24,6 +24,12 @@ _DENSITY_COEFFS = {
 }
 
 
+def float_or_array(out):
+    """The package's one return rule: an array in gives an array out, and a 0-d
+    result (a float in) gives a Python float with the array call's bits."""
+    return out if np.ndim(out) else float(out)
+
+
 class BaseKernel:
     """A symmetric probability density on [-1, 1] with closed forms."""
 
@@ -54,8 +60,7 @@ class BaseKernel:
         """K(t), zero outside [-1, 1]."""
         t = np.asarray(t, dtype=float)
         inside = (t >= -1.0) & (t <= 1.0)
-        out = np.where(inside, P.polyval(np.clip(t, -1.0, 1.0), self._coeffs), 0.0)
-        return out if out.ndim else float(out)
+        return float_or_array(np.where(inside, P.polyval(np.clip(t, -1.0, 1.0), self._coeffs), 0.0))
 
     def antiderivative(self, u):
         """Cumulative kernel Kbar = G + 1/2: 0 below -1, 1 above +1."""
@@ -63,16 +68,14 @@ class BaseKernel:
 
     def odd_part(self, u):
         """G(u) = Kbar(u) - 1/2: -1/2 below -1, 1/2 above +1."""
-        out = P.polyval(np.clip(np.asarray(u, dtype=float), -1.0, 1.0), self.odd)
-        return out if out.ndim else float(out)
+        return float_or_array(P.polyval(np.clip(np.asarray(u, dtype=float), -1.0, 1.0), self.odd))
 
     def moment_between(self, order: int, lo, hi):
         """Integral of u^order K(u) from lo to hi in [-1, 1], as a difference of
         antiderivatives through 0: nothing cancels as [lo, hi] shrinks about 0."""
         if order not in (0, 1, 2):
             raise ValueError("partial moments are implemented for orders 0, 1, 2")
-        out = P.polyval(hi, self._anti[order]) - P.polyval(lo, self._anti[order])
-        return out if np.ndim(out) else float(out)
+        return float_or_array(P.polyval(hi, self._anti[order]) - P.polyval(lo, self._anti[order]))
 
     def partial_moment(self, order: int, alpha):
         """Integral of u^order K(u) from -1 up to alpha."""

@@ -63,6 +63,13 @@ COMMANDS = [
     ["bandwidth", "--w", "0", "--b", "2"],
     ["mse-curve", "--w", "1", "--b", "2", "--points", "9"],
     ["mise", "--w", "1", "--b", "2", "--family", "k2", "--h", "0.2"],
+    # help and usage text, of the top level and of each subcommand
+    ["-h"],
+    *(
+        [sub, "-h"]
+        for sub in ("estimate", "coeffs", "mse-curve", "bandwidth", "mise", "simulate",
+                    "check-kernels")
+    ),
 ]
 
 

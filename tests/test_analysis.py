@@ -507,6 +507,31 @@ def test_mise_terms_match_exact_rationals(name):
             assert abs(Fraction(getattr(terms, key)) - value) <= MISE_REL[key] * value, (dist, key)
 
 
+# relative bound; measured worst 3.2e-16 (classical), 5.5e-16 (k2 left), 4.8e-16 (k2 right)
+UNIFORM_MISE_REL = 1e-15
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_exact_mise_of_the_uniform_matches_exact_rationals(name):
+    # F(y) = y is linear over every window below, so the bias is 0 and
+    # n*Var = x - x^2 - (scale*h)*r, r = int u*2*Kbar*K: the classical kernel has
+    # scale 1 on [h, 1 - h], k2's at x = alpha*h has scale alpha and sees F on [0, 2x];
+    # the right strip integrates the mirrored CDF 1 - F(a + b - y)
+    _, k, kbar, lo, hi = region_kernel(None, name, None)
+    r = integral(polymul([0, 2], polymul(kbar, k)), lo, hi)
+    base = BaseKernel(name)
+    for h in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
+        classical = EstimatorConfig(0.0, 1.0, float(h), base, None)
+        k2 = EstimatorConfig(0.0, 1.0, float(h), base, BoundaryKernelFamily("k2", base))
+        interior = integral([0, 1, -1], h, 1 - h) - h * (1 - 2 * h) * r
+        strip = h**2 / 2 - h**3 / 3 - r * h**2 / 2
+        cases = [(classical, (h, 1 - h), interior), (k2, (0, h), strip), (k2, (1 - h, 1), strip)]
+        for n in (1, 50):
+            for cfg, region, exact in cases:
+                got = exact_mise(Uniform(), cfg, n, (float(region[0]), float(region[1])))
+                assert abs(Fraction(got) - exact / n) <= UNIFORM_MISE_REL * exact / n, (h, region)
+
+
 # cut points 2^-k near a at h = 1/4.  Bias within 8e-17 absolute (measured 7.1e-17);
 # n*Var within 5e-16 relative (measured 4.1e-16, Uniform) plus, for a mixture, 5e-17
 # absolute: its cdf forms the B(2, b) term as 1 - (1 - x)^b*(1 + b*x), which cancels

@@ -1,16 +1,19 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 import bkcdf
+from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
 from bkcdf.distributions import (
     BetaMixture,
     Uniform,
     replicate_rng,
     solve_params,
 )
+from bkcdf.kernels import KERNEL_NAMES, BaseKernel
 
 # target (density, curvature) pairs at the left endpoint used throughout
 TARGETS = [(d1, d2) for d1 in (0.0, 0.5, 1.0, 1.5) for d2 in (6.0, 30.0)]
@@ -127,29 +130,63 @@ def test_pdf_and_d2_at_and_next_to_1_match_their_closed_forms(w, b):
     assert dist.d2(1.0 - e) == pytest.approx(d2, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [
-        Uniform(),
-        Uniform(-2.0, 3.5),
-        BetaMixture(0.75, 5.0),
-        BetaMixture(0.25, 37.3),
-        BetaMixture(0.4, 2.5),
-        BetaMixture(0.0, 2.0),
-        BetaMixture(1.0, 2.0),
-        solve_params(0.5, 30.0),
-    ],
-    ids=repr,
-)
-@pytest.mark.parametrize("method", ["cdf", "pdf", "d2"])
-def test_a_float_gives_a_float_with_the_array_bits(dist, method):
+FLOAT_DISTS = [
+    Uniform(),
+    Uniform(-2.0, 3.5),
+    BetaMixture(0.75, 5.0),
+    BetaMixture(0.25, 37.3),
+    BetaMixture(0.4, 2.5),
+    BetaMixture(0.0, 2.0),
+    BetaMixture(1.0, 2.0),
+    solve_params(0.5, 30.0),
+]
+EDGE_ALPHAS = [2.0**-1022, 1e-300, 1.0 - 2.0**-53]
+
+
+def _float_or_array_cases():
+    """(f, points) for every public numeric function of the package that takes a
+    float or an array, as a function of one argument, and the points to call it at:
+    for a kernel inside and beyond [-1, 1], for a left kernel inside and beyond its
+    support at a fixed cut point, and cut points from 2^-1022 up to 1 - 2^-53."""
+    rng = np.random.default_rng(0)
+    for method in ("cdf", "pdf", "d2"):
+        for dist in FLOAT_DISTS:
+            lo, hi = dist.support
+            x = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53, math.nextafter(1.0, 2.0), -1e-300, 0.5]
+            x += [math.nan, math.inf, -math.inf, lo - 1.0, math.nextafter(lo, -math.inf), hi + 1.0]
+            x += np.random.default_rng(0).uniform(lo, hi, 2000).tolist()
+            yield pytest.param(getattr(dist, method), x, id=f"{method}-{dist!r}")
+    t = [0.0, -0.0, 2.0**-1022, -1e-300, 1.0 - 2.0**-53, -1.0, 1.0, *rng.uniform(-1, 1, 300)]
+    beyond = [math.nextafter(1.0, 2.0), -1.2, 1e300, math.inf, -math.inf, math.nan]
+    alphas = [*EDGE_ALPHAS, *rng.uniform(0, 1, 200), *10.0 ** rng.uniform(-300, 0, 100)]
+    for base in (BaseKernel(name) for name in KERNEL_NAMES):
+        for method in ("density", "odd_part", "antiderivative"):
+            yield pytest.param(getattr(base, method), t + beyond, id=f"{method}-{base!r}")
+        for order in range(3):
+            upto = partial(base.partial_moment, order)
+            yield pytest.param(upto, t, id=f"partial_moment{order}-{base!r}")
+
+            def between(x, base=base, order=order):  # from the midpoint of [-1, x] to x
+                return base.moment_between(order, (x - 1.0) / 2.0, x)
+
+            yield pytest.param(between, t, id=f"moment_between{order}-{base!r}")
+        for fam in (BoundaryKernelFamily(variant, base) for variant in FAMILY_NAMES):
+            for order in range(3):
+                yield pytest.param(partial(fam.moment, order), alphas, id=f"moment{order}-{fam!r}")
+            yield pytest.param(fam.mu_bias_coeff, alphas, id=f"mu_bias_coeff-{fam!r}")
+            for alpha in [*EDGE_ALPHAS, float(rng.uniform(0, 1))]:
+                lo, hi = fam.support(alpha)
+                u = [lo, hi, 0.0, math.nextafter(lo, -1.0), math.nextafter(hi, 2.0), 2 * lo, 2 * hi]
+                u += rng.uniform(1.2 * lo, 1.2 * hi, 200).tolist()
+                for method in ("left_density", "left_antiderivative"):
+                    f = partial(getattr(fam, method), alpha=alpha)
+                    yield pytest.param(f, u, id=f"{method}-{fam!r}-{alpha!r}")
+
+
+@pytest.mark.parametrize("f, points", _float_or_array_cases())
+def test_a_float_gives_a_float_with_the_array_bits(f, points):
     # a 0-d input's arithmetic runs on numpy scalars, whose x**2, for one,
     # calls C pow where an array squares, and can differ in the last bit
-    lo, hi = dist.support
-    points = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53, math.nextafter(1.0, 2.0), -1e-300, 0.5]
-    points += [math.nan, math.inf, -math.inf, lo - 1.0, math.nextafter(lo, -math.inf), hi + 1.0]
-    points += np.random.default_rng(0).uniform(lo, hi, 2000).tolist()
-    f = getattr(dist, method)
     for x, want in zip(points, f(np.array(points)).tolist()):
         got = f(x)
         assert type(got) is float
@@ -270,10 +307,9 @@ def test_batch_rows_equal_one_sample_per_generator(dist, n):
 
 
 def _one_draw_at_a_time(dist, rng, n):
-    # mixture choice, then one scalar 64-step bisection per B(2, b) draw
-    def cdf_b2(t, b=dist.shape_b):
-        return 1.0 - (np.exp(b * np.log1p(-t)) if t < 1.0 else 0.0) * (1.0 + b * t)
-
+    # mixture choice, then one scalar 64-step bisection per B(2, b) draw, through the
+    # public CDF of the component alone: 0*x + 1*F is F to the bit
+    cdf_b2 = BetaMixture(0.0, dist.shape_b).cdf
     choose_first = rng.random(n) < dist.w
     u = rng.random(n)
     out = 1.0 - np.sqrt(1.0 - u)

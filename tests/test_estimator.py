@@ -144,6 +144,11 @@ def test_grid_rejects_estimators_over_another_support_or_bandwidth(other):
         Grid([0.1], [make_cfg(None), make_cfg("k1", **other)])
 
 
+def test_grid_rejects_an_empty_estimator_list():
+    with pytest.raises(ValueError, match="at least one estimator"):
+        Grid([0.1, 0.5], [])
+
+
 def test_grid_evaluate_returns_an_array_per_estimator():
     first, second = Grid([0.1, 0.5, 0.9], [make_cfg(None), make_cfg(None)]).evaluate([0.2, 0.6])
     assert first is not second
