@@ -97,14 +97,16 @@ class BoundaryKernelFamily:
 
     def left_density(self, u, alpha):
         s, lo, hi, w, norm = self.shape(alpha)
-        t = np.asarray(u, dtype=float) / s
+        with np.errstate(over="ignore"):  # a u far outside a tiny k2 support
+            t = np.asarray(u, dtype=float) / s
         inside = (t >= lo / s) & (t <= hi / s)
         return float_or_array(w * self.base.density(t) * inside / (s * norm))
 
     def left_antiderivative(self, u, alpha):
         """Cumulative left kernel; constant at mu0(alpha) above the support."""
         s, lo, hi, w, norm = self.shape(alpha)
-        t = np.clip(np.asarray(u, dtype=float) / s, lo / s, hi / s)
+        with np.errstate(over="ignore"):
+            t = np.clip(np.asarray(u, dtype=float) / s, lo / s, hi / s)
         return float_or_array(w * (self.base.odd_part(t) + self.base.odd_part(-lo / s)) / norm)
 
     def moment(self, order: int, alpha):

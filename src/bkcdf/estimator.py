@@ -53,10 +53,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .boundary import BoundaryKernelFamily, regions
-from .kernels import BaseKernel
+from .kernels import BaseKernel, polyval
 
 _RUN = 256  # data per run, where a block or strip sums its powers in runs
 
@@ -163,7 +162,7 @@ class _Blocks:
         if not np.isfinite(c).all():
             raise ValueError("a block centre (floor(x/h) + 1/2)*h overflows at the points")
         t = (xs - c) / h
-        rows = [P.polyval(t, row) for row in cfg.base.taylor]
+        rows = [polyval(t, row) for row in cfg.base.taylor]
         self.t_lo, self.t_hi = t - 1.0, t + 1.0
         bounds = zip(starts.tolist(), [*starts[1:].tolist(), xs.size], c[starts].tolist())
         self.spans = [(i, e, centre, [r[i:e] for r in rows]) for i, e, centre in bounds]
@@ -206,7 +205,7 @@ class _Strip:
         self.edge, self.g0 = alpha - lo, fam.base.odd_part(-lo / s)
         t = alpha / s  # alpha for k1 and k3, which share their rows; exactly 1 for k2
         key = t.tobytes()
-        self.rows = taylor[key] = taylor.get(key) or [P.polyval(t, row) for row in fam.base.taylor]
+        self.rows = taylor[key] = taylor.get(key) or [polyval(t, row) for row in fam.base.taylor]
         # s^deg underflows (k2 near a): sum (y * 2^p)^k, divide by s * 2^p in [1/2, 1)
         power = np.where(s < np.finfo(float).tiny ** (1 / (len(self.rows) - 1)), -np.frexp(s)[1], 0)
         self.groups = [(p, np.flatnonzero(power == p)) for p in set(power[power != 0].tolist())]

@@ -2,7 +2,10 @@
 
 Each kernel is a set of plain ascending coefficient arrays, evaluated with
 ``polyval``: the density, and the antiderivatives and partial moments
-derived once from it.  Quadrature only appears in the tests, as an oracle.
+derived once from it.  ``polyval``, ``_integral`` and ``np.convolve`` take the
+steps of ``numpy.polynomial.polynomial``'s ``polyval``, ``polyint`` and
+``polymul``, so they give its bits without importing it.  Quadrature only
+appears in the tests, as an oracle.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "biweight", "triweight")
 IDENTITY_SHAPE = (1.0, -1.0, 1.0, 1.0, 1.0)  # K itself as a shape (scale, lo, hi, weight, norm)
@@ -30,6 +32,19 @@ def float_or_array(out):
     return out if np.ndim(out) else float(out)
 
 
+def polyval(t, c):
+    """sum_k c[k] t^k for ascending coefficients c, by Horner's rule from the top."""
+    out = c[-1] + t * 0
+    for ck in c[-2::-1]:
+        out = ck + out * t
+    return out
+
+
+def _integral(c):
+    """Ascending coefficients of the antiderivative through 0."""
+    return np.concatenate(([0.0], c / np.arange(1, c.size + 1)))
+
+
 class BaseKernel:
     """A symmetric probability density on [-1, 1] with closed forms."""
 
@@ -40,7 +55,7 @@ class BaseKernel:
         self._coeffs = np.array(_DENSITY_COEFFS[name])
         # antiderivatives of u^k K(u) through 0, k = 0, 1, 2; row 0 is the odd
         # part G = Kbar - 1/2 (K is even): G(-t) == -G(t) to the bit
-        self._anti = [P.polyint(np.pad(self._coeffs, (k, 0))) for k in range(3)]
+        self._anti = [_integral(np.pad(self._coeffs, (k, 0))) for k in range(3)]
         self.odd = self._anti[0]
         self.taylor = [  # row k: (-1)^k G^(k)(t)/k! in powers of t
             np.array([(-1) ** k * math.comb(k + q, k) * c for q, c in enumerate(self.odd[k:])])
@@ -60,7 +75,7 @@ class BaseKernel:
         """K(t), zero outside [-1, 1]."""
         t = np.asarray(t, dtype=float)
         inside = (t >= -1.0) & (t <= 1.0)
-        return float_or_array(np.where(inside, P.polyval(np.clip(t, -1.0, 1.0), self._coeffs), 0.0))
+        return float_or_array(np.where(inside, polyval(np.clip(t, -1.0, 1.0), self._coeffs), 0.0))
 
     def antiderivative(self, u):
         """Cumulative kernel Kbar = G + 1/2: 0 below -1, 1 above +1."""
@@ -68,14 +83,14 @@ class BaseKernel:
 
     def odd_part(self, u):
         """G(u) = Kbar(u) - 1/2: -1/2 below -1, 1/2 above +1."""
-        return float_or_array(P.polyval(np.clip(np.asarray(u, dtype=float), -1.0, 1.0), self.odd))
+        return float_or_array(polyval(np.clip(np.asarray(u, dtype=float), -1.0, 1.0), self.odd))
 
     def moment_between(self, order: int, lo, hi):
         """Integral of u^order K(u) from lo to hi in [-1, 1], as a difference of
         antiderivatives through 0: nothing cancels as [lo, hi] shrinks about 0."""
         if order not in (0, 1, 2):
             raise ValueError("partial moments are implemented for orders 0, 1, 2")
-        return float_or_array(P.polyval(hi, self._anti[order]) - P.polyval(lo, self._anti[order]))
+        return float_or_array(polyval(hi, self._anti[order]) - polyval(lo, self._anti[order]))
 
     def partial_moment(self, order: int, alpha):
         """Integral of u^order K(u) from -1 up to alpha."""
@@ -95,9 +110,9 @@ class BaseKernel:
         s, lo, hi, w, norm = shape
         r = 2.0 ** np.ceil(np.log2(-lo / s))
         c = w * np.r_[self.odd_part(-lo / s), self.odd[1:]] / norm * r ** np.arange(self.odd.size)
-        sq = P.polyint(P.polymul(c, c))
+        sq = _integral(np.convolve(c, c))
         mu0 = w * self.moment_between(0, lo / s, hi / s) / norm
-        return float(hi * mu0**2 - s * r * (P.polyval(hi / s / r, sq) - P.polyval(lo / s / r, sq)))
+        return float(hi * mu0**2 - s * r * (polyval(hi / s / r, sq) - polyval(lo / s / r, sq)))
 
     def r_constant(self) -> float:
         """Integral of u * 2 * Kbar(u) * K(u): m1 of K itself, 1 - integral of Kbar^2."""

@@ -14,8 +14,19 @@ import numpy as np
 
 # 15-point rule per panel; integrands are piecewise polynomial times a
 # smooth CDF, so a high-order rule converges fast once panels are split
-# at the known kinks.
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+# at the known kinks.  The rule is symmetric about its middle node 0: the
+# halves below are numpy's ``leggauss(15)`` for nodes 0 up, written out so
+# that no eigen-solve runs at import and no platform's LAPACK moves a bit.
+_HALF_NODES = np.array([
+    0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+    0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_HALF_WEIGHTS = np.array([
+    0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+    0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
+_NODES = np.concatenate((-_HALF_NODES[:0:-1], _HALF_NODES))
+_WEIGHTS = np.concatenate((_HALF_WEIGHTS[:0:-1], _HALF_WEIGHTS))
 MAX_SUBDIVISIONS = 2**15
 
 

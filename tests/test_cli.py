@@ -616,20 +616,24 @@ def test_only_the_cli_freezes_the_heap(module, frozen):
     assert (int(proc.stdout) > 0) == frozen
 
 
-@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("command", ["estimate", "simulate", "mise"])
 def test_commands_import_no_lazy_numpy_submodule(tmp_path, command):
     # the first np.unique call of a process imports numpy.ma, which would
-    # add about 10 ms to every fresh-process command
+    # add about 10 ms to every fresh-process command; numpy.polynomial costs
+    # about 0.7 MB, and its leggauss an eigen-solve, where the kernels need
+    # only a Horner loop and the quadrature a fixed rule
     data = tmp_path / "sample.txt"
     np.savetxt(data, np.random.default_rng(0).beta(2.0, 3.0, 20_000))
     argv = {
         "estimate": ["estimate", "--data", str(data), "--a", "0", "--b", "1", "--h", "0.05"],
         "simulate": ["simulate", "--w", "0.75", "--b", "5", "--n", "50", "--reps", "2"],
+        "mise": ["mise", "--w", "0", "--b", "2", "--family", "k3", "--h", "0.2"],
     }[command] + ["--out", str(tmp_path / "out.csv")]
     code = f"import sys, bkcdf.cli\nassert bkcdf.cli.main({argv!r}) == 0\n"
-    proc = run_fresh("-c", code + "print('numpy.ma' in sys.modules)")
+    names = ("numpy.ma", "numpy.polynomial")
+    proc = run_fresh("-c", code + f"print([m in sys.modules for m in {names!r}])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, False]\n"
 
 
 VALID = {  # a full argv per subcommand, parsed but never run by the tests below

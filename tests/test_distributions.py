@@ -177,6 +177,7 @@ def _float_or_array_cases():
             for alpha in [*EDGE_ALPHAS, float(rng.uniform(0, 1))]:
                 lo, hi = fam.support(alpha)
                 u = [lo, hi, 0.0, math.nextafter(lo, -1.0), math.nextafter(hi, 2.0), 2 * lo, 2 * hi]
+                u += [-1e300, 1e300]  # u / alpha overflows for k2 at a tiny alpha
                 u += rng.uniform(1.2 * lo, 1.2 * hi, 200).tolist()
                 for method in ("left_density", "left_antiderivative"):
                     f = partial(getattr(fam, method), alpha=alpha)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
-from bkcdf.kernels import KERNEL_NAMES, BaseKernel
+from bkcdf.boundary import FAMILY_NAMES, BoundaryKernelFamily
+from bkcdf.kernels import IDENTITY_SHAPE, KERNEL_NAMES, BaseKernel, _integral, polyval
 from bkcdf.quadrature import integrate
 
 ALL = [BaseKernel(name) for name in KERNEL_NAMES]
@@ -125,3 +127,57 @@ def test_equality_and_hash():
     assert BaseKernel("uniform") == BaseKernel("uniform")
     assert BaseKernel("uniform") != BaseKernel("biweight")
     assert len({BaseKernel("uniform"), BaseKernel("uniform")}) == 1
+
+
+def _m1_coeffs(kernel, shape):
+    """Kbar's coefficients in v as ``m1`` squares them, and its r."""
+    s, lo, _, w, norm = shape
+    r = 2.0 ** np.ceil(np.log2(-lo / s))
+    scaled = r ** np.arange(kernel.odd.size)
+    return w * np.r_[kernel.odd_part(-lo / s), kernel.odd[1:]] / norm * scaled, r
+
+
+def _m1_with_numpy_polynomial(kernel, shape):
+    # m1 as it was written with numpy.polynomial, whose bits it must keep
+    s, lo, hi, w, norm = shape
+    c, r = _m1_coeffs(kernel, shape)
+    sq = P.polyint(P.polymul(c, c))
+    mu0 = w * kernel.moment_between(0, lo / s, hi / s) / norm
+    return float(hi * mu0**2 - s * r * (P.polyval(hi / s / r, sq) - P.polyval(lo / s / r, sq)))
+
+
+def _shapes(kernel):
+    yield IDENTITY_SHAPE
+    for variant in FAMILY_NAMES:
+        fam = BoundaryKernelFamily(variant, kernel)
+        for alpha in (2.0**-1022, 1e-300, 1e-10, 2.0**-10, 0.3, 0.5, 0.9, 1.0 - 2.0**-53):
+            yield fam.shape(alpha)
+
+
+def _assert_same_bits(t, got_c, want_c):
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf give NaN on both sides
+        assert polyval(np.array(t), got_c).tobytes() == P.polyval(np.array(t), want_c).tobytes()
+        for x in t:
+            got, want = polyval(x, got_c), P.polyval(x, want_c)
+            assert type(got) is type(want) and got.tobytes() == want.tobytes(), (got_c, x)
+
+
+@pytest.mark.parametrize("kernel", ALL, ids=KERNEL_NAMES)
+def test_polynomial_tables_keep_the_bits_of_numpy_polynomial(kernel):
+    # the kernels evaluate, integrate and square their tables in numpy's core,
+    # taking numpy.polynomial's steps in its order: every table the package
+    # builds gives its bits, as an array and float by float, specials included
+    t = [*np.linspace(-1.5, 1.5, 301).tolist(), 0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]
+    anti = [P.polyint(np.pad(kernel._coeffs, (k, 0))) for k in range(3)]
+    assert [a.tobytes() for a in kernel._anti] == [a.tobytes() for a in anti]
+    for c in [kernel._coeffs, *kernel._anti, *kernel.taylor]:
+        _assert_same_bits(t, c, c)
+    for shape in _shapes(kernel):
+        c, _ = _m1_coeffs(kernel, shape)
+        sq, want = _integral(np.convolve(c, c)), P.polyint(P.polymul(c, c))
+        # polymul trims the zeros that squares underflowing leave at the top
+        # (k3 at a tiny cut point); m1 evaluates its table at finite t only
+        assert sq[: want.size].tobytes() == want.tobytes() and not sq[want.size :].any()
+        _assert_same_bits(t[:-3], sq, want)
+        want_m1 = _m1_with_numpy_polynomial(kernel, shape)
+        assert np.float64(kernel.m1(shape)).tobytes() == np.float64(want_m1).tobytes()

@@ -1,8 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
 from bkcdf import quadrature
 from bkcdf.quadrature import QuadratureError, integrate
+
+
+def test_gauss_rule_is_symmetric_exact_and_numpys():
+    # the 15-node rule is stated as constants, so that no eigen-solve runs at
+    # import and the platform's LAPACK cannot move a bit of any integral
+    x, w = quadrature._NODES, quadrature._WEIGHTS
+    assert x.size == w.size == 15
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert x[7] == 0.0 and not np.signbit(x[7])
+    assert abs(math.fsum(w) - 2.0) <= np.spacing(2.0)
+    for k in range(30):
+        assert abs(w @ x**k - (1 + (-1) ** k) / (k + 1)) <= 1e-15, k
+    # numpy's own rule, from the eigenvalues of the Jacobi matrix, may differ
+    # in the last bit with another LAPACK
+    ref_x, ref_w = np.polynomial.legendre.leggauss(15)
+    assert np.all(np.abs(x - ref_x) <= np.spacing(np.abs(ref_x)))
+    assert np.all(np.abs(w - ref_w) <= np.spacing(ref_w))
 
 
 def test_constant():
