@@ -8,12 +8,13 @@ input, each failure with one ``error:`` line.  A flag that argparse itself
 rejects also prints the subcommand's usage; any other rejected input (a
 validation or I/O error) raises ValueError or OSError, which ``main`` reports.
 
-A command's time is its setup, mostly numpy's import (about 0.2 s),
+A command's time is its setup, mostly numpy's import (about 45-70 ms),
 then the command itself, then the interpreter's exit.  Importing this
 module freezes the heap that the imports leave (``gc.freeze()``), so
 neither the collections made while a command runs nor the shutdown walk
-those long-lived objects again: exit takes about 10 ms, against 31-35 ms
-without the freeze (2 cores).  ``import bkcdf`` alone freezes nothing.
+those long-lived objects again: exit takes about 5 ms, against about
+21 ms without the freeze (medians of 16 fresh ``simulate`` processes,
+2 cores).  ``import bkcdf`` alone freezes nothing.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Test distributions: beta mixtures w*B(1,2) + (1-w)*B(2,b) and the uniform,
 with ``cdf``, ``pdf``, ``d2`` (second derivative of the CDF), a ``support``
 tuple, ``roughness`` (integral of d2 squared, in closed form) and two
-samplers driven by numpy Generators.  ``sample_batch(rngs, n)`` draws n
-variates from each generator into one row per generator: every generator
-gives its draws in the order a lone one would, and a beta mixture then
-inverts the B(2, b) draws of all rows by 64 elementwise bisection steps on
-[0, 1], so a draw has the same bits whichever rows come with it.
-``sample(rng, n)`` is its one-generator case.
+samplers driven by replicate streams.  ``replicate_rng(seed, index)`` is
+the stream of numpy's ``default_rng(SeedSequence([seed, index]))``, PCG64,
+reproduced bit for bit in integer arithmetic, so that sampling needs no
+``numpy.random``.  ``sample_batch(rngs, n)`` draws n variates from each
+stream into one row per stream: every stream gives its draws in the order
+a lone one would, and a beta mixture then inverts the B(2, b) draws of all
+rows by 64 elementwise bisection steps on [0, 1], so a draw has the same
+bits whichever rows come with it.  ``sample(rng, n)`` is its one-stream
+case.
 """
 
 from __future__ import annotations
@@ -15,10 +18,164 @@ import numpy as np
 
 from .kernels import float_or_array
 
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier M
+_U64 = np.uint64
+# draws per block, the jump table's length; and states per block, few numpy
+# calls per draw with every uint64 temporary below 128 KB, where each would page-fault
+_WIDTH, _BLOCK = 1024, 2**14 - 1
 
-def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replicate, derived from (seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
+
+class ReplicateStream:
+    """PCG64 seeded as numpy's ``PCG64(SeedSequence(words))``: the 128-bit
+    state and increment as Python ints, set at the first draw (``None``
+    until then, so that a batch of fresh streams is seeded in one pass)."""
+
+    __slots__ = ("words", "state", "inc")
+
+    def __init__(self, words: tuple):
+        self.words = words
+        self.state = self.inc = None
+
+    def random(self, n: int) -> np.ndarray:
+        """The next n doubles in [0, 1), as numpy's ``Generator.random(n)``."""
+        return _doubles([self], n)[0]
+
+
+def replicate_rng(seed: int, index: int) -> ReplicateStream:
+    """Independent stream for one replicate, derived from (seed, index): the
+    32-bit words of each, low word first, are SeedSequence's entropy."""
+    words = []
+    for value in (int(seed), int(index)):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    return ReplicateStream(tuple(words))
+
+
+def _halves(values):
+    """(high, low) 64-bit halves of 128-bit Python ints, as uint64 arrays."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & _MASK64 for v in values], dtype=np.uint64),
+    )
+
+
+def _mul128(a, b):
+    """a * b mod 2^128 for (high, low) pairs of uint64 arrays; the high word of
+    the low product comes from 32-bit halves."""
+    (ah, al), (bh, bl) = a, b
+    s32, m32 = _U64(32), _U64(_MASK32)
+    a1, a0, b1, b0 = al >> s32, al & m32, bl >> s32, bl & m32
+    t = a1 * b0 + (a0 * b0 >> s32)
+    w = (t & m32) + a0 * b1
+    return a1 * b1 + (t >> s32) + (w >> s32) + ah * bl + al * bh, al * bl
+
+
+def _add128(a, b):
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]).astype(np.uint64), lo
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    # SeedSequence's hash multiplier runs through init * mult^k mod 2^32 whatever the data
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(value, constants, k):
+    # the k-th hash of SeedSequence's mixer: xor, multiply, xor-shift in uint32
+    h = (value ^ constants[k]) * constants[k + 1]
+    return h ^ h >> np.uint32(16)
+
+
+def _mix(x, y):
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ r >> np.uint32(16)
+
+
+def _seed(streams) -> None:
+    """Set (state, inc) of fresh streams in one vectorised pass per entropy
+    size: SeedSequence's pool of four, its ``generate_state(4, uint64)``, then
+    PCG64's seeding step.  The pool hashes a missing word as a 0, so entropy of
+    up to four words is one size."""
+    groups = {}
+    for stream in streams:
+        groups.setdefault(max(len(stream.words), 4), []).append(stream)
+    for size, group in groups.items():
+        padded = [s.words + (0,) * (size - len(s.words)) for s in group]
+        words = np.array(padded, dtype=np.uint32).T
+        c = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * size)  # one per hash of the pool
+        pool = [_hashmix(words[i], c, i) for i in range(4)]
+        k = 4
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], c, k))
+                    k += 1
+        for word in words[4:]:  # words beyond the pool mix into each of its four
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], _hashmix(word, c, k))
+                k += 1
+        c = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+        out = [_hashmix(pool[i % 4], c, i).astype(np.uint64) for i in range(8)]
+        s0, s1, s2, s3 = (out[i] | out[i + 1] << _U64(32) for i in range(0, 8, 2))
+        # PCG64's srandom: inc = 2 * initseq + 1, then two steps from 0 with
+        # initstate added between them
+        inc = (s2 << _U64(1) | s3 >> _U64(63), s3 << _U64(1) | _U64(1))
+        state = _add128(_mul128(_add128(inc, (s0, s1)), _halves([_PCG_MULT])), inc)
+        for stream, sh, sl, ih, il in zip(group, *(x.tolist() for x in (*state, *inc))):
+            stream.state, stream.inc = sh << 64 | sl, ih << 64 | il
+
+
+def _doubles(streams, k: int) -> np.ndarray:
+    """The next k doubles of each stream, one row per stream, as numpy's
+    ``random(k)``, and each stream advanced past them; a stream listed twice
+    gives its rows in turn.  j steps take a state s to
+    M^j s + (M^(j-1) + ... + 1) inc mod 2^128.  Each stream's k draws are cut
+    into segments of up to 1,024, whose start states are found by such jumps
+    in Python ints; a block of segments is then two products of a row of the
+    jump table with per-segment columns, and each draw its state's XSL-RR
+    output (out >> 11) * 2^-53.  Every array operand is uint64."""
+    if len({id(s) for s in streams}) < len(streams):
+        return np.array([s.random(k) for s in streams]).reshape(-1, k)
+    fresh = [s for s in streams if s.state is None]
+    if fresh:
+        _seed(fresh)
+    if k == 0:
+        return np.empty((len(streams), 0))
+    width = min(k, _WIDTH)
+    powers, sums = [_PCG_MULT], [1]
+    for _ in range(width - 1):
+        powers.append(powers[-1] * _PCG_MULT & _MASK128)
+        sums.append(sums[-1] * _PCG_MULT + 1 & _MASK128)
+    jump, shift = _halves(powers), _halves(sums)
+    segments, last = -(-k // width), (k - 1) % width  # the last draw's column
+    starts, incs = [], []
+    for stream in streams:
+        starts.append(stream.state)
+        for _ in range(segments - 1):
+            starts.append(powers[-1] * starts[-1] + sums[-1] * stream.inc & _MASK128)
+        incs += [stream.inc] * segments
+    (sh, sl), (ih, il) = _halves(starts), _halves(incs)
+    out, end = np.empty((len(starts), width)), np.empty((2, len(starts)), dtype=np.uint64)
+    rows = max(1, _BLOCK // width)
+    for r in range(0, len(starts), rows):
+        b = slice(r, r + rows)
+        hi, lo = _add128(
+            _mul128(jump, (sh[b, None], sl[b, None])), _mul128(shift, (ih[b, None], il[b, None]))
+        )
+        v, rot = hi ^ lo, hi >> _U64(58)
+        v = v >> rot | v << (-rot & _U64(63))
+        out[b] = (v >> _U64(11)).astype(np.float64) * 2.0**-53
+        end[:, b] = hi[:, last], lo[:, last]
+    for stream, eh, el in zip(streams, *end[:, segments - 1 :: segments].tolist()):
+        stream.state = eh << 64 | el
+    return out.reshape(len(streams), segments * width)[:, :k]
 
 
 def _pow1m(x: np.ndarray, p: float) -> np.ndarray:
@@ -62,9 +219,9 @@ class Uniform:
         if n < 1:
             raise ValueError("need n >= 1")
         a, b = self.support
-        return np.array([rng.uniform(a, b, n) for rng in rngs]).reshape(-1, n)
+        return a + (b - a) * _doubles(rngs, n)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: ReplicateStream, n: int) -> np.ndarray:
         return self.sample_batch([rng], n)[0]
 
 
@@ -130,13 +287,13 @@ class BetaMixture:
         return 1.0 - _pow1m(t, b) * (1.0 + b * t)
 
     def sample_batch(self, rngs, n: int) -> np.ndarray:
-        """n variates per generator: mixture choice, then inversion of the
+        """n variates per stream: mixture choice, then inversion of the
         chosen component.  A B(2, b) draw bisects [0, 1] 64 times, to within
         2^-64 or one ulp of its quantile; F(0) = 0 <= u < 1 = F(1), so it
         cannot fail."""
         if n < 1:
             raise ValueError("need n >= 1")
-        draws = np.array([(rng.random(n), rng.random(n)) for rng in rngs]).reshape(-1, 2, n)
+        draws = _doubles(rngs, 2 * n).reshape(-1, 2, n)
         choose_first, u = draws[:, 0] < self.w, draws[:, 1]
         out = 1.0 - np.sqrt(1.0 - u)
         u = u[~choose_first]
@@ -148,7 +305,7 @@ class BetaMixture:
         out[~choose_first] = 0.5 * (lo + hi)
         return out
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: ReplicateStream, n: int) -> np.ndarray:
         return self.sample_batch([rng], n)[0]
 
 

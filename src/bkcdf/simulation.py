@@ -1,6 +1,6 @@
 """Monte Carlo integrated squared error study.
 
-Each replicate draws its own sample from a generator derived from the
+Each replicate draws its own sample from a stream derived from the
 master seed and the replicate index, so runs are reproducible and
 extending the replicate count reproduces the earlier replicates exactly.
 The samples of a chunk of replicates are drawn in one ``sample_batch``

@@ -59,6 +59,9 @@ COMMANDS = [
     # small h: many blocks, each with few data
     ["estimate", *SAMPLE[:-2], "--h", "0.002", "--family", "k2"],
     ["simulate", *DIST, "--n", "50", "--reps", "3", "--h", "0.01", "--seed", "1"],
+    # the uniform's sampler; a seed of three 32-bit words
+    ["simulate", "--uniform", "--h", "0.1", "--reps", "3", "--seed", "4"],
+    ["simulate", *DIST, "--reps", "3", "--seed", "18446744073709551621"],
     # w = 0 and w = 1
     ["bandwidth", "--w", "0", "--b", "2"],
     ["mse-curve", "--w", "1", "--b", "2", "--points", "9"],

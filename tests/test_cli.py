@@ -621,7 +621,9 @@ def test_commands_import_no_lazy_numpy_submodule(tmp_path, command):
     # the first np.unique call of a process imports numpy.ma, which would
     # add about 10 ms to every fresh-process command; numpy.polynomial costs
     # about 0.7 MB, and its leggauss an eigen-solve, where the kernels need
-    # only a Horner loop and the quadrature a fixed rule
+    # only a Horner loop and the quadrature a fixed rule; numpy.random brings
+    # secrets, hashlib and OpenSSL (about 10 ms and 5 MB), where the replicate
+    # streams need only integer arithmetic
     data = tmp_path / "sample.txt"
     np.savetxt(data, np.random.default_rng(0).beta(2.0, 3.0, 20_000))
     argv = {
@@ -630,10 +632,10 @@ def test_commands_import_no_lazy_numpy_submodule(tmp_path, command):
         "mise": ["mise", "--w", "0", "--b", "2", "--family", "k3", "--h", "0.2"],
     }[command] + ["--out", str(tmp_path / "out.csv")]
     code = f"import sys, bkcdf.cli\nassert bkcdf.cli.main({argv!r}) == 0\n"
-    names = ("numpy.ma", "numpy.polynomial")
+    names = ("numpy.ma", "numpy.polynomial", "numpy.random", "secrets")
     proc = run_fresh("-c", code + f"print([m in sys.modules for m in {names!r}])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False]\n"
+    assert proc.stdout == "[False, False, False, False]\n"
 
 
 VALID = {  # a full argv per subcommand, parsed but never run by the tests below

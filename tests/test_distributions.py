@@ -260,6 +260,65 @@ def test_replicate_rng_independent_and_reproducible():
     assert not np.array_equal(a, c)
 
 
+def _numpy_stream(seed, index):
+    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+
+
+# one to five 32-bit words of seed, one or two of index
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 100, 1000])
+@pytest.mark.parametrize("index", [0, 499, 2**33])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_is_numpys_pcg64(seed, index, k):
+    got = replicate_rng(seed, index).random(k)
+    assert got.dtype == np.float64 and got.shape == (k,)
+    assert got.tobytes() == _numpy_stream(seed, index).random(k).tobytes()
+
+
+def test_consecutive_draws_continue_one_stream():
+    # 2,500 draws are three segments of the jump table, the last one partial
+    rng, ref = replicate_rng(7, 2), _numpy_stream(7, 2)
+    for k in (3, 0, 2500, 1, 100):
+        assert rng.random(k).tobytes() == ref.random(k).tobytes()
+
+
+@pytest.mark.parametrize("dist", [Uniform(), Uniform(-2.0, 3.5)], ids=repr)
+@pytest.mark.parametrize("n", [50, 1500])
+def test_uniform_rows_equal_numpys_uniform(dist, n):
+    # 400 streams of mixed entropy sizes at different positions: more rows
+    # than one block holds, and at n = 1500 two segments per stream
+    a, b = dist.support
+    keys = [(SEEDS[r % len(SEEDS)], r) for r in range(400)]
+    rngs, refs = [replicate_rng(*key) for key in keys], [_numpy_stream(*key) for key in keys]
+    for r, (rng, ref) in enumerate(zip(rngs, refs)):
+        if r % 3:
+            assert rng.random(r % 7).tobytes() == ref.random(r % 7).tobytes()
+    rows = dist.sample_batch(rngs, n)
+    for row, ref in zip(rows, refs):
+        assert row.tobytes() == ref.uniform(a, b, n).tobytes()
+    for rng, ref in zip(rngs, refs):  # and every stream goes on from there
+        assert rng.random(2).tobytes() == ref.random(2).tobytes()
+
+
+def test_a_stream_listed_twice_gives_its_rows_in_turn():
+    rng, other = replicate_rng(4, 1), replicate_rng(4, 2)
+    ref, ref_other = _numpy_stream(4, 1), _numpy_stream(4, 2)
+    rows = Uniform(-2.0, 3.5).sample_batch([rng, other, rng], 5)
+    want = [ref.uniform(-2.0, 3.5, 5), ref_other.uniform(-2.0, 3.5, 5), ref.uniform(-2.0, 3.5, 5)]
+    assert rows.tobytes() == np.array(want).tobytes()
+    assert rng.random(3).tobytes() == ref.random(3).tobytes()
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-(2**70), 3)])
+def test_negative_seed_or_index_is_rejected_as_by_numpy(seed, index):
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        replicate_rng(seed, index)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.SeedSequence([seed, index])
+
+
 def test_sampling_deterministic_and_in_support():
     dist = BetaMixture(0.6, 4.5)
     x = dist.sample(replicate_rng(11, 0), 500)
@@ -297,13 +356,21 @@ BATCH_DISTS = [
 ]
 
 
+def _advanced(r, skip):
+    # stream r after its first (r * skip) % 7 draws
+    rng = replicate_rng(3, r)
+    rng.random(r * skip % 7)
+    return rng
+
+
 @pytest.mark.parametrize("dist", BATCH_DISTS, ids=repr)
 @pytest.mark.parametrize("n", [1, 7, 50])
-def test_batch_rows_equal_one_sample_per_generator(dist, n):
-    rows = dist.sample_batch([replicate_rng(3, r) for r in range(25)], n)
+@pytest.mark.parametrize("skip", [0, 3])
+def test_batch_rows_equal_one_sample_per_generator(dist, n, skip):
+    rows = dist.sample_batch([_advanced(r, skip) for r in range(25)], n)
     assert rows.shape == (25, n)
     for r, row in enumerate(rows):
-        assert row.tobytes() == dist.sample(replicate_rng(3, r), n).tobytes()
+        assert row.tobytes() == dist.sample(_advanced(r, skip), n).tobytes()
     assert dist.sample_batch([], n).shape == (0, n)
 
 
