@@ -5,14 +5,16 @@ samplers driven by replicate streams.  ``replicate_rng(seed, index)`` is
 the stream of numpy's ``default_rng(SeedSequence([seed, index]))``, PCG64,
 reproduced bit for bit in integer arithmetic, so that sampling needs no
 ``numpy.random``.  ``sample_batch(rngs, n)`` draws n variates from each
-stream into one row per stream: every stream gives its draws in the order
-a lone one would, and a beta mixture then inverts the B(2, b) draws of all
-rows by 64 elementwise bisection steps on [0, 1], so a draw has the same
-bits whichever rows come with it.  ``sample(rng, n)`` is its one-stream
-case.
+stream into one row per stream, in the order a lone stream would, a stream
+listed again going on from its previous row; a call that raises moves no
+stream.  A beta mixture then inverts the B(2, b) draws of all rows by 64
+elementwise bisection steps on [0, 1], so a draw has the same bits
+whichever rows come with it.  ``sample(rng, n)`` is its one-stream case.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -46,7 +48,11 @@ def replicate_rng(seed: int, index: int) -> ReplicateStream:
     """Independent stream for one replicate, derived from (seed, index): the
     32-bit words of each, low word first, are SeedSequence's entropy."""
     words = []
-    for value in (int(seed), int(index)):
+    for value in (seed, index):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError("seed must be integer") from None
         if value < 0:
             raise ValueError("expected non-negative integer")
         words.append(value & _MASK32)
@@ -79,20 +85,6 @@ def _add128(a, b):
     return a[0] + b[0] + (lo < b[1]).astype(np.uint64), lo
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    # SeedSequence's hash multiplier runs through init * mult^k mod 2^32 whatever the data
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)
-
-
-def _hashmix(value, constants, k):
-    # the k-th hash of SeedSequence's mixer: xor, multiply, xor-shift in uint32
-    h = (value ^ constants[k]) * constants[k + 1]
-    return h ^ h >> np.uint32(16)
-
-
 def _mix(x, y):
     r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
     return r ^ r >> np.uint32(16)
@@ -103,26 +95,30 @@ def _seed(streams) -> None:
     size: SeedSequence's pool of four, its ``generate_state(4, uint64)``, then
     PCG64's seeding step.  The pool hashes a missing word as a 0, so entropy of
     up to four words is one size."""
+
+    def hashmix(value):
+        # xor, multiply, xor-shift in uint32; the multiplier runs on from hash to hash
+        nonlocal const
+        h = (value ^ const) * (const := const * mult & _MASK32)
+        return h ^ h >> np.uint32(16)
+
     groups = {}
     for stream in streams:
         groups.setdefault(max(len(stream.words), 4), []).append(stream)
     for size, group in groups.items():
         padded = [s.words + (0,) * (size - len(s.words)) for s in group]
         words = np.array(padded, dtype=np.uint32).T
-        c = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * size)  # one per hash of the pool
-        pool = [_hashmix(words[i], c, i) for i in range(4)]
-        k = 4
+        const, mult = 0x43B0D7E5, 0x931E8875
+        pool = [hashmix(word) for word in words[:4]]
         for src in range(4):
             for dst in range(4):
                 if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], c, k))
-                    k += 1
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
         for word in words[4:]:  # words beyond the pool mix into each of its four
             for dst in range(4):
-                pool[dst] = _mix(pool[dst], _hashmix(word, c, k))
-                k += 1
-        c = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-        out = [_hashmix(pool[i % 4], c, i).astype(np.uint64) for i in range(8)]
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        const, mult = 0x8B51F9DD, 0x58F38DED
+        out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
         s0, s1, s2, s3 = (out[i] | out[i + 1] << _U64(32) for i in range(0, 8, 2))
         # PCG64's srandom: inc = 2 * initseq + 1, then two steps from 0 with
         # initstate added between them
@@ -134,47 +130,49 @@ def _seed(streams) -> None:
 
 def _doubles(streams, k: int) -> np.ndarray:
     """The next k doubles of each stream, one row per stream, as numpy's
-    ``random(k)``, and each stream advanced past them; a stream listed twice
-    gives its rows in turn.  j steps take a state s to
-    M^j s + (M^(j-1) + ... + 1) inc mod 2^128.  Each stream's k draws are cut
-    into segments of up to 1,024, whose start states are found by such jumps
-    in Python ints; a block of segments is then two products of a row of the
-    jump table with per-segment columns, and each draw its state's XSL-RR
-    output (out >> 11) * 2^-53.  Every array operand is uint64."""
-    if len({id(s) for s in streams}) < len(streams):
-        return np.array([s.random(k) for s in streams]).reshape(-1, k)
-    fresh = [s for s in streams if s.state is None]
-    if fresh:
-        _seed(fresh)
+    ``random(k)``; a stream listed again starts where its previous listing
+    ends.  j steps take a state s to M^j s + (M^(j-1) + ... + 1) inc mod 2^128.
+    A listing's k draws are cut into segments of up to 1,024, whose start
+    states, and its end state, are jumped to in Python ints.  A block, a few
+    listings by a run of their segments, then takes M^j times each segment's
+    start plus (M^(j-1) + ... + 1) inc, that product once per listing; each
+    draw is its state's XSL-RR output (out >> 11) * 2^-53.  Every array
+    operand is uint64.  The states are written back only after every draw is
+    made, so a call that raises moves no stream."""
+    _seed([s for s in streams if s.state is None])
     if k == 0:
         return np.empty((len(streams), 0))
     width = min(k, _WIDTH)
     powers, sums = [_PCG_MULT], [1]
     for _ in range(width - 1):
+        sums.append(sums[-1] + powers[-1] & _MASK128)
         powers.append(powers[-1] * _PCG_MULT & _MASK128)
-        sums.append(sums[-1] * _PCG_MULT + 1 & _MASK128)
     jump, shift = _halves(powers), _halves(sums)
-    segments, last = -(-k // width), (k - 1) % width  # the last draw's column
-    starts, incs = [], []
+    segments = -(-k // width)
+    lasts = [width - 1] * (segments - 1) + [(k - 1) % width]  # each segment's last column
+    ends, starts = {}, []
     for stream in streams:
-        starts.append(stream.state)
-        for _ in range(segments - 1):
-            starts.append(powers[-1] * starts[-1] + sums[-1] * stream.inc & _MASK128)
-        incs += [stream.inc] * segments
-    (sh, sl), (ih, il) = _halves(starts), _halves(incs)
-    out, end = np.empty((len(starts), width)), np.empty((2, len(starts)), dtype=np.uint64)
-    rows = max(1, _BLOCK // width)
-    for r in range(0, len(starts), rows):
-        b = slice(r, r + rows)
-        hi, lo = _add128(
-            _mul128(jump, (sh[b, None], sl[b, None])), _mul128(shift, (ih[b, None], il[b, None]))
-        )
-        v, rot = hi ^ lo, hi >> _U64(58)
-        v = v >> rot | v << (-rot & _U64(63))
-        out[b] = (v >> _U64(11)).astype(np.float64) * 2.0**-53
-        end[:, b] = hi[:, last], lo[:, last]
-    for stream, eh, el in zip(streams, *end[:, segments - 1 :: segments].tolist()):
-        stream.state = eh << 64 | el
+        state = ends.get(stream, stream.state)
+        for j in lasts:
+            starts.append(state)
+            state = powers[j] * state + sums[j] * stream.inc & _MASK128
+        ends[stream] = state
+    sh, sl = (x.reshape(len(streams), segments, 1) for x in _halves(starts))
+    ih, il = (x.reshape(-1, 1, 1) for x in _halves([s.inc for s in streams]))
+    out = np.empty((len(streams), segments, width))
+    run = min(segments, _BLOCK // width)
+    rows = _BLOCK // (run * width)
+    for r in range(0, len(streams), rows):
+        g = slice(r, r + rows)
+        step = _mul128(shift, (ih[g], il[g]))
+        for c in range(0, segments, run):
+            b = g, slice(c, c + run)
+            hi, lo = _add128(_mul128(jump, (sh[b], sl[b])), step)
+            v, rot = hi ^ lo, hi >> _U64(58)
+            v = v >> rot | v << (-rot & _U64(63))
+            out[b] = (v >> _U64(11)).astype(np.float64) * 2.0**-53
+    for stream, state in ends.items():
+        stream.state = state
     return out.reshape(len(streams), segments * width)[:, :k]
 
 

@@ -278,10 +278,20 @@ def test_stream_is_numpys_pcg64(seed, index, k):
 
 
 def test_consecutive_draws_continue_one_stream():
-    # 2,500 draws are three segments of the jump table, the last one partial
+    # 2,500 draws are three segments of the jump table, the last one partial;
+    # 1,023 to 2,048 put the last draw at a segment's edges
     rng, ref = replicate_rng(7, 2), _numpy_stream(7, 2)
-    for k in (3, 0, 2500, 1, 100):
+    for k in (3, 0, 2500, 1, 100, 1023, 1024, 1025, 2048):
         assert rng.random(k).tobytes() == ref.random(k).tobytes()
+
+
+def test_a_failed_draw_leaves_the_stream_alone():
+    rng, ref = replicate_rng(7, 2), _numpy_stream(7, 2)
+    assert rng.random(2).tobytes() == ref.random(2).tobytes()
+    for stream in (rng, ref):
+        with pytest.raises(ValueError, match="^negative dimensions are not allowed$"):
+            stream.random(-1)
+    assert rng.random(5).tobytes() == ref.random(5).tobytes()
 
 
 @pytest.mark.parametrize("dist", [Uniform(), Uniform(-2.0, 3.5)], ids=repr)
@@ -302,20 +312,33 @@ def test_uniform_rows_equal_numpys_uniform(dist, n):
         assert rng.random(2).tobytes() == ref.random(2).tobytes()
 
 
-def test_a_stream_listed_twice_gives_its_rows_in_turn():
+@pytest.mark.parametrize("k", [5, 2500])
+def test_a_stream_listed_twice_gives_its_rows_in_turn(k):
     rng, other = replicate_rng(4, 1), replicate_rng(4, 2)
     ref, ref_other = _numpy_stream(4, 1), _numpy_stream(4, 2)
-    rows = Uniform(-2.0, 3.5).sample_batch([rng, other, rng], 5)
-    want = [ref.uniform(-2.0, 3.5, 5), ref_other.uniform(-2.0, 3.5, 5), ref.uniform(-2.0, 3.5, 5)]
+    rows = Uniform(-2.0, 3.5).sample_batch([rng, other, rng, rng], k)
+    want = [ref.uniform(-2.0, 3.5, k), ref_other.uniform(-2.0, 3.5, k)]
+    want += [ref.uniform(-2.0, 3.5, k), ref.uniform(-2.0, 3.5, k)]
     assert rows.tobytes() == np.array(want).tobytes()
     assert rng.random(3).tobytes() == ref.random(3).tobytes()
+    assert other.random(3).tobytes() == ref_other.random(3).tobytes()
 
 
-@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-(2**70), 3)])
-def test_negative_seed_or_index_is_rejected_as_by_numpy(seed, index):
-    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+@pytest.mark.parametrize(
+    "seed, index, error, message",
+    [
+        (-1, 0, ValueError, "expected non-negative integer"),
+        (0, -1, ValueError, "expected non-negative integer"),
+        (-(2**70), 3, ValueError, "expected non-negative integer"),
+        (1.5, 0, TypeError, "seed must be integer"),
+        (0, 2.0, TypeError, "seed must be integer"),
+        (2.0, 3, TypeError, "seed must be integer"),
+    ],
+)
+def test_negative_seed_or_index_is_rejected_as_by_numpy(seed, index, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         replicate_rng(seed, index)
-    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+    with pytest.raises(error, match=f"^{message}$"):
         np.random.SeedSequence([seed, index])
 
 
