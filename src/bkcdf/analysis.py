@@ -155,25 +155,24 @@ def mise_terms(dist, base: BaseKernel, n: int) -> MiseTerms:
 
 def _pointwise(dist, cfg: EstimatorConfig, n: int, x: float):
     """(bias, variance) of the configured estimator at x."""
-    a, b, h, base, fam = cfg.a, cfg.b, cfg.h, cfg.base, cfg.family
+    a, b, h, fam = cfg.a, cfg.b, cfg.h, cfg.family
     _, _, (up, down) = regions([x], a, b, h)
+    cdf, sign, kinks = dist.cdf, 1.0, ()
     if fam is not None and down.size:  # tested first: a point in both strips is the right's
         # right strip: 1 minus the left-strip estimate at the mirrored point of the mirrored CDF
-        def mirrored(y):
+        def cdf(y):
             return 1.0 - dist.cdf((a + b) - np.asarray(y, dtype=float))
 
         alpha = float(down[0])
-        bias, nvar = _moments(mirrored, base, a + alpha * h, h, fam.shape(alpha))
-        bias = -bias
+        x, sign, shape = a + alpha * h, -1.0, fam.shape(alpha)
     elif fam is not None and up.size:
-        alpha = float(up[0])
-        bias, nvar = _moments(dist.cdf, base, x, h, fam.shape(alpha))
+        shape = fam.shape(float(up[0]))
     elif fam is None or a < x < b:
-        kinks = ((x - b) / h, (x - a) / h)
-        bias, nvar = _moments(dist.cdf, base, x, h, IDENTITY_SHAPE, kinks)
+        shape, kinks = IDENTITY_SHAPE, ((x - b) / h, (x - a) / h)
     else:
         return 0.0, 0.0
-    return bias, nvar / n
+    bias, nvar = _moments(cdf, cfg.base, x, h, shape, kinks)
+    return sign * bias, nvar / n
 
 
 def pointwise_error(dist, cfg: EstimatorConfig, n: int, x: float) -> PointwiseError:

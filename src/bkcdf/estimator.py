@@ -5,11 +5,11 @@ per estimator wanted, all over one a, b, h and base kernel: classical, or
 the classical one with a family's kernels in the strips, which
 ``boundary.regions`` decides by the cut point, and 0 and 1 pinned outside
 (a, b).  It does the work that depends on the points alone: the strip split,
-the classical blocks with their centres and Taylor rows, and each family's
-shape, window edges and Taylor rows per strip.  ``Grid.evaluate`` does the
-rest for each sample: sort, window counts, prefix power sums with one row
-per power, gathers from those rows and a Horner sum over the cached Taylor
-rows.  ``evaluate_grid`` gives one estimator.
+the classical blocks with their centres and Taylor rows, each strip's Taylor
+rows, and each family's shape and window edges per strip.  ``Grid.evaluate``
+does the rest for each sample: sort, window counts, prefix power sums with
+one row per power, gathers from those rows and a Horner sum over the cached
+Taylor rows.  ``evaluate_grid`` gives one estimator.
 
 Each cumulative kernel is constant outside a window and a polynomial in
 it, so on the sorted sample the estimate is a count below the window plus
@@ -127,10 +127,10 @@ def _prefix_power_sums(y: np.ndarray, degree: int) -> np.ndarray:
     return (below[:, :-1, None] + inside[..., :-1]).reshape(degree + 1, -1)
 
 
-def _horner(rows, s, sums: np.ndarray, at=slice(None)) -> np.ndarray:
+def _horner(rows, s, sums: np.ndarray, at) -> np.ndarray:
     """sum_k rows[k] * s^-k * sums[k][at], by Horner in 1/s, in place on each
-    power's gather (on sums itself where at is a slice); a scalar s = 1
-    divides nothing, as x/1 is x."""
+    power's gather at a block's key or a strip's counts (on sums itself where
+    at is a slice); a scalar s = 1 divides nothing, as x/1 is x."""
     unit = np.ndim(s) == 0 and s == 1.0
     acc = 0.0
     for k in range(len(rows) - 1, -1, -1):
@@ -200,12 +200,11 @@ class _Strip:
     """One family's left-strip estimate at the cut points alpha, called on
     one strip's sorted y below 2, their power sums and the sample size."""
 
-    def __init__(self, fam: BoundaryKernelFamily, alpha: np.ndarray, taylor: dict):
+    def __init__(self, fam: BoundaryKernelFamily, alpha: np.ndarray, rows: list):
         s, lo, _, self.w, self.norm = fam.shape(alpha)
         self.edge, self.g0 = alpha - lo, fam.base.odd_part(-lo / s)
-        t = alpha / s  # alpha for k1 and k3, which share their rows; exactly 1 for k2
-        key = t.tobytes()
-        self.rows = taylor[key] = taylor.get(key) or [polyval(t, row) for row in fam.base.taylor]
+        # t = alpha/s is alpha at scale 1 (k1 and k3, the grid's rows) and exactly 1 at scale alpha
+        self.rows = rows if np.ndim(s) == 0 else [polyval(1.0, row) for row in fam.base.taylor]
         # s^deg underflows (k2 near a): sum (y * 2^p)^k, divide by s * 2^p in [1/2, 1)
         power = np.where(s < np.finfo(float).tiny ** (1 / (len(self.rows) - 1)), -np.frexp(s)[1], 0)
         self.groups = [(p, np.flatnonzero(power == p)) for p in set(power[power != 0].tolist())]
@@ -218,7 +217,7 @@ class _Strip:
         for p, at in self.groups:  # a y < 2^(1-p), as in any window y < 2s, has y * 2^p < 2
             y = np.ldexp(near[: np.searchsorted(near, 2.0 ** (1 - p))], p)
             q = _prefix_power_sums(y, len(self.rows) - 1)
-            total[at] = _horner([r[at] for r in self.rows], self.s[at], q, count[at])
+            total[at] = _horner(self.rows, self.s[at], q, count[at])
         return self.w * (total + count * self.g0) / self.norm / n
 
 
@@ -243,9 +242,10 @@ class Grid:
         a, b, h, families = cfg.a, cfg.b, cfg.h, [c.family for c in cfgs]
         self.left, self.right, alphas = regions(xs, a, b, h)
         self.blocks = _Blocks(cfg, xs)
-        taylor = {}
+        # each strip's Taylor rows at t = alpha, for the families of scale 1
+        rows = [[polyval(x, r) for r in cfg.base.taylor] for x in alphas] if any(families) else ()
         self.strips = [
-            None if f is None else [_Strip(f, x, taylor) for x in alphas] for f in families
+            None if f is None else [_Strip(f, x, r) for x, r in zip(alphas, rows)] for f in families
         ]
 
     def evaluate(self, values) -> list[np.ndarray]:
@@ -285,8 +285,4 @@ def is_proper(values, tol: float) -> bool:
     """True when the values stay in [-tol, 1+tol] and never step down by
     more than tol."""
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return True
-    if v.min() < -tol or v.max() > 1.0 + tol:
-        return False
-    return bool(np.all(np.diff(v) >= -tol))
+    return bool(np.all((v >= -tol) & (v <= 1.0 + tol)) and np.all(np.diff(v) >= -tol))

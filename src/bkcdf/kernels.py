@@ -95,7 +95,7 @@ class BaseKernel:
     def partial_moment(self, order: int, alpha):
         """Integral of u^order K(u) from -1 up to alpha."""
         alpha = np.asarray(alpha, dtype=float)
-        if np.any(alpha < -1.0) or np.any(alpha > 1.0):
+        if not np.all((alpha >= -1.0) & (alpha <= 1.0)):
             raise ValueError("alpha must lie in [-1, 1]")
         return self.moment_between(order, -1.0, alpha)
 

@@ -64,7 +64,7 @@ class SimResult:
     def __post_init__(self):
         if self.ise.shape != (self.reps, len(self.families), len(self.regions)):
             raise ValueError("result shape does not match the configuration")
-        if self.ise.min() < 0.0:
+        if not (self.ise >= 0.0).all():
             raise ValueError("ISE values must be nonnegative")
 
 

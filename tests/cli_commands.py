@@ -5,6 +5,9 @@
 runs every command in ``COMMANDS`` in a fresh ``python -m bkcdf.cli`` process
 against each tree (via ``PYTHONPATH``), from the repository root, prints the
 commands whose stdout, stderr or exit code differ, and exits 1 if any do.
+Where a differing command's two stdouts are CSV tables with the same header
+and shape, it also prints how many numeric cells moved and the largest
+relative change among them.
 OLD is a source directory or, when it is not a directory, a git revision
 whose ``src`` is extracted with ``git archive`` into a temporary directory
 (``python tests/cli_commands.py HEAD src`` checks the working tree against
@@ -12,6 +15,7 @@ the last commit).  A refactor that claims to keep every output byte runs it
 against its parent.
 """
 
+import csv
 import io
 import os
 import subprocess
@@ -95,14 +99,35 @@ def source(old, tmp):
     return Path(tmp) / "src"
 
 
+def moved(old: str, new: str):
+    """(cells, largest) for two CSV tables with the same header and shape: how
+    many cells differ and parse as numbers in both, and the largest relative
+    change |new - old|/max(|old|, |new|) among them; None for other outputs."""
+    old, new = (list(csv.reader(io.StringIO(text))) for text in (old, new))
+    if not old or old[0] != new[0] or [len(r) for r in old] != [len(r) for r in new]:
+        return None
+    changes = []
+    for x, y in zip((c for r in old[1:] for c in r), (c for r in new[1:] for c in r)):
+        if x != y:
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                continue
+            changes.append(abs(y - x) / (max(abs(x), abs(y)) or 1.0))
+    return len(changes), max(changes, default=0.0)
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
         old = source(argv[0], tmp)
-        differ = [cmd for cmd in COMMANDS if run(old, cmd) != run(argv[1], cmd)]
-    for cmd in differ:
+        outputs = [(cmd, run(old, cmd), run(argv[1], cmd)) for cmd in COMMANDS]
+    differ = [(cmd, was, now) for cmd, was, now in outputs if was != now]
+    for cmd, was, now in differ:
         print("differs:", " ".join(cmd))
+        if cells := moved(was[0].decode(), now[0].decode()):
+            print(f"  {cells[0]} numeric cells moved, largest relative change {cells[1]:.2g}")
     print(f"{len(COMMANDS) - len(differ)} of {len(COMMANDS)} commands identical")
     return 1 if differ else 0
 

@@ -16,7 +16,8 @@ from bkcdf.cli import main
 from bkcdf.distributions import BetaMixture
 from bkcdf.kernels import BaseKernel
 from bkcdf.simulation import SimConfig, run_ise
-from cli_commands import COMMANDS
+import cli_commands
+from cli_commands import COMMANDS, moved
 from test_cli_golden import assert_matches_golden
 
 
@@ -766,3 +767,31 @@ def test_cli_commands_parse():
             continue
         args, unknown = parser.parse_known_args(cmd)
         assert unknown == [] and args.command == cmd[0], cmd
+
+
+def test_moved_counts_the_numeric_cells_that_changed():
+    old = "x,Fhat\n0.1,0.5\n0.2,0.25\n0.3,-0.0\n"
+    assert moved(old, old) == (0, 0.0)
+    cells, largest = moved(old, "x,Fhat\n0.1,0.5000000000000001\n0.2,0.2\n0.3,0.0\n")
+    assert cells == 3 and largest == pytest.approx(0.2)
+    assert moved(old, "x,F\n0.1,0.5\n0.2,0.25\n0.3,-0.0\n") is None  # another header
+    assert moved(old, "x,Fhat\n0.1,0.5\n") is None  # another shape
+    assert moved("", "") is None
+
+
+def test_cli_commands_reports_how_far_a_differing_table_moved(tmp_path, monkeypatch, capsys):
+    stdout = {"old": b"x,Fhat\n0.1,0.5\n0.2,0.25\n", "new": b"x,Fhat\n0.1,0.5\n0.2,0.2\n"}
+    for tree in stdout:
+        (tmp_path / tree).mkdir()
+
+    def run(src, cmd):  # the help text is the same in both trees
+        return (b"usage" if cmd == ["-h"] else stdout[Path(src).name]), b"", 0
+
+    monkeypatch.setattr(cli_commands, "COMMANDS", [["estimate"], ["-h"]])
+    monkeypatch.setattr(cli_commands, "run", run)
+    assert cli_commands.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: estimate",
+        "  1 numeric cells moved, largest relative change 0.2",
+        "1 of 2 commands identical",
+    ]

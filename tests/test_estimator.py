@@ -209,6 +209,11 @@ def test_is_proper():
     assert is_proper([], 1e-12)
 
 
+@pytest.mark.parametrize("values", [[np.nan], [0.0, np.nan, 1.0]])
+def test_is_proper_rejects_nan(values):
+    assert not is_proper(values, 1e-12)
+
+
 @pytest.mark.parametrize("variant", FAMILY_NAMES)
 @pytest.mark.parametrize("n", [10, 50, 200])
 def test_properness_random_samples(variant, n):

@@ -69,6 +69,12 @@ def test_partial_moment_values():
     assert epan.partial_moment(1, 0.5) == pytest.approx(-0.10546875, abs=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, [0.5, np.nan]])
+def test_partial_moment_rejects_nan(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \[-1, 1\]"):
+        BaseKernel("epanechnikov").partial_moment(0, alpha)
+
+
 def test_partial_moment_order_zero_is_antiderivative():
     for kernel in ALL:
         for alpha in np.linspace(-1.0, 1.0, 21):

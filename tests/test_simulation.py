@@ -149,6 +149,14 @@ def test_result_invariants_enforced():
         )
 
 
+def test_result_rejects_a_nan_ise():
+    res = run_ise(small_cfg(reps=2))
+    ise = res.ise.copy()
+    ise[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="ISE values must be nonnegative"):
+        SimResult(res.families, res.regions, res.h, res.n, res.reps, res.seed, ise)
+
+
 def simpson(lo, hi):
     panels = max(1, int(np.ceil((hi - lo) * PANELS_PER_UNIT)))
     x = np.linspace(lo, hi, 2 * panels + 1)
